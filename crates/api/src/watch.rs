@@ -49,7 +49,8 @@ pub struct WatchRequest {
     pub max_records: Option<String>,
     /// Raw `--max-idle` poll bound.
     pub max_idle: Option<String>,
-    /// Raw `--threads` value.
+    /// Raw `--threads` value: validated, but without effect on watch
+    /// (summaries render on the loop thread).
     pub threads: Option<String>,
     /// Raw `--where` filter expression scoping the monitor.
     pub where_expr: Option<String>,
@@ -190,9 +191,11 @@ pub fn run(req: &WatchRequest, out: &mut dyn io::Write) -> Result<Collector> {
             "chunk",
             WatchConfig::default().ingest_chunk,
         )?)
-        .threads(parse_threads(req.threads.as_deref())?)
         .json_summaries(req.format == OutputFormat::Json)
         .trace(trace.clone());
+    // `--threads` is parsed and validated as it always was, but has no
+    // effect on watch: summaries render in order on the loop thread.
+    let threads = parse_threads(req.threads.as_deref())?;
     if let Some(pred) = filter {
         builder = builder.filter(pred);
     }
@@ -212,6 +215,12 @@ pub fn run(req: &WatchRequest, out: &mut dyn io::Write) -> Result<Collector> {
         builder = builder.summary_sections(failwatch::select_watch_sections(spec)?);
     }
     let config = builder.build()?;
+    if threads == 0 {
+        return Err(Error::config(
+            "watch loop",
+            "summary rendering needs at least 1 worker thread",
+        ));
+    }
     if req.format == OutputFormat::Json {
         // The stream's schema header: versions every NDJSON line that
         // follows (summary sections and alerts).
@@ -273,6 +282,29 @@ mod tests {
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("{\"v\":1,\"kind\":\"watch\"}"));
         assert!(text.lines().all(|l| l.starts_with('{')), "{text}");
+    }
+
+    #[test]
+    fn threads_are_validated_but_do_not_change_the_stream() {
+        let run_with = |threads: &str, format: OutputFormat| {
+            let mut req = WatchRequest::new("sim:tsubame3");
+            req.threads = Some(threads.to_string());
+            req.refresh = Some("40".to_string());
+            req.format = format;
+            let mut buf = Vec::new();
+            run(&req, &mut buf).map(|_| buf)
+        };
+        for format in [OutputFormat::Text, OutputFormat::Json] {
+            let one = run_with("1", format).expect("watches");
+            assert_eq!(one, run_with("4", format).expect("watches"));
+            assert!(one.len() > 1000, "the run prints summaries");
+        }
+        let err = run_with("0", OutputFormat::Text).unwrap_err().to_string();
+        assert!(err.contains("at least 1 worker thread"), "{err}");
+        let err = run_with("many", OutputFormat::Text)
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, "invalid value `many` for --threads");
     }
 
     #[test]

@@ -105,18 +105,19 @@ COMMANDS
       compressed member). Records are ingested in chunks of up to
       --chunk (default 256; drift checks run per chunk, partial chunks
       flush on idle/EOF so follow mode never lags); --parse-chunk sets
-      the file read-buffer size in bytes. --where EXPR scopes the
-      monitor to matching records (report syntax): the detector and
-      summaries see only the filtered stream, and every alert line
-      carries the expression in a `filter` field. --format json makes
-      the whole stream NDJSON (a {\"v\":1} header line, then one line
-      per summary section); --sections picks from: overview,
-      categories, slots, months. --trace writes the loop's
-      ingestion/alert counters as NDJSON. --index auto persists the
-      accumulated index as FILE.fsidx on clean shutdown (plain-text
-      file sources only, and never combined with --where: snapshots
-      always hold unfiltered state), so a later `report --index auto`
-      starts warm.
+      the file read-buffer size in bytes. --threads is validated but
+      has no effect: summaries render on the loop thread. --where
+      EXPR scopes the monitor to matching records (report syntax):
+      the detector and summaries see only the filtered stream, and
+      every alert line carries the expression in a `filter` field.
+      --format json makes the whole stream NDJSON (a {\"v\":1}
+      header line, then one line per summary section); --sections
+      picks from: overview, categories, slots, months. --trace writes
+      the loop's ingestion/alert counters as NDJSON. --index auto
+      persists the accumulated index as FILE.fsidx on clean shutdown
+      (plain-text file sources only, and never combined with --where:
+      snapshots always hold unfiltered state), so a later `report
+      --index auto` starts warm.
   serve --socket PATH | --listen ADDR [--max-inflight N] [--cache-bytes N]
       Run faild: a long-lived query server holding parsed logs and
       warm .fsidx indexes in memory, answering report/compare/watch/

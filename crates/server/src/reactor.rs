@@ -14,7 +14,10 @@
 //! * **execution** — `report`/`compare`/`watch` go to the worker pool
 //!   (`max_inflight` threads, so the pool *is* the execution bound);
 //!   `metrics`, `logs`, `evict`, `ping`, and `shutdown` are cheap and
-//!   answered inline on the loop.
+//!   answered inline on the loop. A query that panics is answered with
+//!   a `query panicked` error envelope (counted as
+//!   `server.worker_panics`) and its worker keeps serving, so the
+//!   connection's ordered responses never stall behind it.
 //! * **write side** — responses are emitted strictly in request order
 //!   (a per-connection sequence number orders out-of-order worker
 //!   completions), appended to `write_buf`, and flushed as far as the
@@ -45,6 +48,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 
 use failapi::wire::{self, Command};
@@ -272,7 +276,8 @@ pub(crate) fn run(
     })
 }
 
-/// One pool thread: execute jobs until the channel closes.
+/// One pool thread: execute jobs until the channel closes. A panicking
+/// job still completes, with an error envelope, and the thread lives on.
 fn worker(
     engine: &QueryEngine,
     jobs: &Mutex<mpsc::Receiver<Job>>,
@@ -289,17 +294,30 @@ fn worker(
         let Ok(job) = job else {
             return;
         };
-        let line = respond(engine, job.id, job.cmd);
+        let Job { conn, seq, id, cmd } = job;
+        let line = panic::catch_unwind(AssertUnwindSafe(|| respond(engine, id, cmd)))
+            .unwrap_or_else(|payload| {
+                let why = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("no message");
+                engine.metrics().incr("server.worker_panics", 1);
+                engine.metrics().incr("server.errors", 1);
+                wire::encode_err(id, &Error::run(format!("query panicked: {why}")))
+            });
         completions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push((job.conn, job.seq, line));
+            .push((conn, seq, line));
         waker.wake();
     }
 }
 
 /// Executes one pooled command; errors become typed envelopes.
 fn respond(engine: &QueryEngine, id: u64, cmd: JobCmd) -> String {
+    #[cfg(test)]
+    tests::fault_hook(&cmd);
     let error_line = |e: &Error| {
         engine.metrics().incr("server.errors", 1);
         wire::encode_err(id, e)
@@ -725,5 +743,114 @@ impl Reactor {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
+
+    use failapi::wire;
+    use failapi::WatchRequest;
+
+    use super::JobCmd;
+    use crate::client::Connection;
+    use crate::{Endpoint, ServerConfig};
+
+    /// A watch of this source panics inside the worker.
+    const PANIC_SOURCE: &str = "sim:panic-in-worker";
+
+    /// The fault hook `respond` runs first in test builds.
+    pub(super) fn fault_hook(cmd: &JobCmd) {
+        if matches!(cmd, JobCmd::Watch(req) if req.source == PANIC_SOURCE) {
+            panic!("injected fault");
+        }
+    }
+
+    fn small_watch() -> WatchRequest {
+        let mut req = WatchRequest::new("sim:tsubame3");
+        req.max_records = Some("30".to_string());
+        req
+    }
+
+    fn expected_watch(id: u64) -> String {
+        let mut out = Vec::new();
+        failapi::watch::run(&small_watch(), &mut out).expect("local watch");
+        wire::encode_ok(id, "watch", false, &String::from_utf8(out).expect("utf8"))
+    }
+
+    #[test]
+    fn panicking_query_answers_with_an_error_and_keeps_the_worker() {
+        let (tx, rx) = mpsc::channel();
+        let server = thread::spawn(move || {
+            crate::serve(
+                ServerConfig {
+                    endpoint: Endpoint::tcp("127.0.0.1:0"),
+                    max_inflight: 1,
+                },
+                move |bound| tx.send(bound.clone()).expect("report bound endpoint"),
+            )
+        });
+        let endpoint = rx.recv().expect("server binds");
+        let Endpoint::Tcp(addr) = &endpoint else {
+            panic!("expected a tcp endpoint, got {endpoint}");
+        };
+
+        // Pipeline the panicking query, a pooled query, and an inline
+        // one on one connection: each gets its answer, in order.
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        // A stalled connection fails the test instead of hanging it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("sets a deadline");
+        let pipelined = [
+            wire::encode_watch(1, &WatchRequest::new(PANIC_SOURCE)),
+            wire::encode_watch(2, &small_watch()),
+            wire::encode_simple(3, "ping"),
+        ];
+        stream
+            .write_all(format!("{}\n", pipelined.join("\n")).as_bytes())
+            .expect("sends");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let mut next_line = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("reads");
+            line.trim_end().to_string()
+        };
+        let panicked = next_line();
+        let err = wire::parse_response(&panicked).expect_err("an error envelope");
+        assert_eq!(err.to_string(), "query panicked: injected fault");
+        assert!(panicked.contains(r#""id":1"#), "{panicked}");
+        assert_eq!(next_line(), expected_watch(2));
+        assert_eq!(next_line(), wire::encode_ok(3, "ping", false, "pong\n"));
+
+        // The single worker survived: another connection is served.
+        let mut other = Connection::connect(&endpoint).expect("connects");
+        let answer = other
+            .roundtrip(&wire::encode_watch(4, &small_watch()))
+            .expect("answered");
+        assert_eq!(
+            wire::encode_ok(4, "watch", false, &answer.output),
+            expected_watch(4)
+        );
+        let metrics = other
+            .roundtrip(&wire::encode_simple(5, "metrics"))
+            .expect("metrics");
+        assert!(
+            metrics
+                .output
+                .contains(r#""stage":"server.worker_panics","value":1}"#),
+            "{}",
+            metrics.output
+        );
+        other
+            .roundtrip(&wire::encode_simple(6, "shutdown"))
+            .expect("shuts down");
+        drop(stream);
+        server.join().expect("server thread").expect("serves");
     }
 }

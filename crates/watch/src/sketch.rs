@@ -1,11 +1,12 @@
 //! A streaming quantile sketch with an exactness fallback.
 //!
 //! Up to `capacity` observations the sketch simply buffers everything,
-//! and its quantiles and mean are computed from a sorted copy with the
-//! *same* type-7 interpolation and left-to-right sorted summation as
-//! [`failstats::Ecdf`] — so while in exact mode the results are
-//! **bit-identical** to the batch pipeline, which is what the streaming
-//! equivalence suite asserts (field logs at Tsubame scale fit easily).
+//! and its quantiles and mean are computed from the memoized sorted
+//! order (below) with the *same* type-7 interpolation and left-to-right
+//! sorted summation as [`failstats::Ecdf`] — so while in exact mode the
+//! results are **bit-identical** to the batch pipeline, which is what
+//! the streaming equivalence suite asserts (field logs at Tsubame scale
+//! fit easily).
 //!
 //! Past `capacity` the sketch switches to deterministic KLL-style level
 //! compaction: the buffer is sorted and every second item survives to
@@ -17,6 +18,22 @@
 //! all levels; the normalized rank error stays small (the unit tests
 //! enforce ≤ 0.025 at n = 200 000 with the default capacity) and the
 //! mean degrades to the weighted mean of the retained items.
+//!
+//! # Cost model
+//!
+//! Reads never sort what they already sorted, and pushes never sort for
+//! readers. The first read after a push builds every retained item's
+//! order with cumulative weights and memoizes it until the next push —
+//! so a periodic summary's median, p90, and mean share one build, and
+//! each quantile is a binary search on cumulative weight. The next
+//! push keeps that order as a base: a later read sorts only the pushes
+//! since, and merges them in with one O(retained) pass. Compaction
+//! drops the base (levels above the intake changed), so the first read
+//! after it sorts everything retained, about once per `capacity`
+//! pushes; ingest alone pays nothing. The compacted-mode mean is one
+//! pass over the levels and needs no order at all.
+
+use std::sync::OnceLock;
 
 use failstats::quantile_sorted;
 
@@ -39,7 +56,7 @@ pub const DEFAULT_SKETCH_CAPACITY: usize = 4096;
 /// assert_eq!(s.mean(), Some(2.5));
 /// assert_eq!(s.len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct QuantileSketch {
     capacity: usize,
     /// `levels[i]` holds items of weight `2^i`; level 0 is the intake.
@@ -49,6 +66,54 @@ pub struct QuantileSketch {
     min: f64,
     max: f64,
     compactions: u64,
+    /// The last read's order, kept by `push` as the base the next read
+    /// merges into; `None` before any read and after a compaction.
+    base: Option<Order>,
+    /// Every retained item in ascending order, built by the first read
+    /// after a push.
+    order: OnceLock<Order>,
+}
+
+/// Retained items in ascending order, with cumulative weights.
+#[derive(Debug)]
+struct Order {
+    values: Vec<f64>,
+    /// `cum[i]` is the total weight of `values[..=i]`.
+    cum: Vec<u64>,
+    /// How many level-0 items (a prefix) the order covers; it covers
+    /// every level above.
+    intake: usize,
+}
+
+impl Clone for QuantileSketch {
+    /// Clones the observations; the memoized order is rebuilt on demand.
+    fn clone(&self) -> Self {
+        QuantileSketch {
+            capacity: self.capacity,
+            levels: self.levels.clone(),
+            parity: self.parity.clone(),
+            count: self.count,
+            min: self.min,
+            max: self.max,
+            compactions: self.compactions,
+            base: None,
+            order: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for QuantileSketch {
+    /// Compares the observations: a sketch that has been read equals
+    /// one that has not.
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.levels == other.levels
+            && self.parity == other.parity
+            && self.count == other.count
+            && self.min == other.min
+            && self.max == other.max
+            && self.compactions == other.compactions
+    }
 }
 
 impl Default for QuantileSketch {
@@ -70,6 +135,8 @@ impl QuantileSketch {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             compactions: 0,
+            base: None,
+            order: OnceLock::new(),
         }
     }
 
@@ -80,6 +147,9 @@ impl QuantileSketch {
     /// Panics on NaN (quantiles over NaN are meaningless).
     pub fn push(&mut self, x: f64) {
         assert!(!x.is_nan(), "sketch values must not be NaN");
+        if let Some(order) = self.order.take() {
+            self.base = Some(order);
+        }
         self.count += 1;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
@@ -88,6 +158,9 @@ impl QuantileSketch {
         while self.levels[level].len() >= self.capacity {
             self.compact(level);
             level += 1;
+        }
+        if level > 0 {
+            self.base = None;
         }
     }
 
@@ -105,6 +178,50 @@ impl QuantileSketch {
         self.parity[level] = !self.parity[level];
         self.levels[level + 1]
             .extend(buf.into_iter().skip(offset).step_by(2));
+    }
+
+    /// The memoized order: on the first read after a push, sorts what
+    /// the base does not cover (every level when there is no base) and
+    /// merges it into the base with cumulative weights.
+    fn order(&self) -> &Order {
+        self.order.get_or_init(|| {
+            let (base_values, base_cum, seen): (&[f64], &[u64], usize) = match &self.base {
+                Some(base) => (&base.values, &base.cum, base.intake),
+                None => (&[], &[], 0),
+            };
+            let mut fresh: Vec<(f64, u64)> =
+                self.levels[0][seen..].iter().map(|&x| (x, 1)).collect();
+            if self.base.is_none() {
+                for (level, buf) in self.levels.iter().enumerate().skip(1) {
+                    fresh.extend(buf.iter().map(|&x| (x, 1u64 << level)));
+                }
+            }
+            fresh.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+
+            let len = base_values.len() + fresh.len();
+            let (mut values, mut cum) = (Vec::with_capacity(len), Vec::with_capacity(len));
+            let mut total = 0u64;
+            let mut append = |x: f64, w: u64| {
+                total += w;
+                values.push(x);
+                cum.push(total);
+            };
+            let mut fresh = fresh.into_iter().peekable();
+            let mut prev = 0;
+            for (&x, &c) in base_values.iter().zip(base_cum) {
+                while let Some((y, w)) = fresh.next_if(|&(y, _)| y < x) {
+                    append(y, w);
+                }
+                append(x, c - prev);
+                prev = c;
+            }
+            fresh.for_each(|(y, w)| append(y, w));
+            Order {
+                values,
+                cum,
+                intake: self.levels[0].len(),
+            }
+        })
     }
 
     /// Total observations pushed.
@@ -149,29 +266,16 @@ impl QuantileSketch {
         if self.count == 0 {
             return None;
         }
+        let Order { values, cum, .. } = self.order();
         if self.is_exact() {
-            let mut sorted = self.levels[0].clone();
-            sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN in sketch"));
-            return quantile_sorted(&sorted, p);
+            return quantile_sorted(values, p);
         }
-        // Weighted rank over all retained items.
-        let mut items: Vec<(f64, u64)> = Vec::new();
-        for (level, buf) in self.levels.iter().enumerate() {
-            let w = 1u64 << level;
-            items.extend(buf.iter().map(|&x| (x, w)));
-        }
-        items.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN in sketch"));
-        let total: u64 = items.iter().map(|&(_, w)| w).sum();
+        // The first item whose cumulative weight reaches the rank.
+        let total = *cum.last().expect("a non-empty sketch retains items");
         debug_assert_eq!(total, self.count, "compaction preserves total weight");
         let target = p * total as f64;
-        let mut cum = 0u64;
-        for &(x, w) in &items {
-            cum += w;
-            if cum as f64 >= target {
-                return Some(x);
-            }
-        }
-        items.last().map(|&(x, _)| x)
+        let i = cum.partition_point(|&c| (c as f64) < target);
+        values.get(i).or(values.last()).copied()
     }
 
     /// The mean: bit-identical to [`failstats::Ecdf::mean`] in exact
@@ -182,9 +286,8 @@ impl QuantileSketch {
             return None;
         }
         if self.is_exact() {
-            let mut sorted = self.levels[0].clone();
-            sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN in sketch"));
-            return Some(sorted.iter().sum::<f64>() / sorted.len() as f64);
+            let values = &self.order().values;
+            return Some(values.iter().sum::<f64>() / values.len() as f64);
         }
         let mut sum = 0.0;
         let mut weight = 0u64;
@@ -206,6 +309,8 @@ impl QuantileSketch {
 mod tests {
     use super::*;
     use failstats::Ecdf;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     /// Deterministic pseudo-random stream (SplitMix64 → uniform [0,1)).
     fn uniform_stream(n: usize, mut seed: u64) -> Vec<f64> {
@@ -302,6 +407,104 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_is_rejected() {
         QuantileSketch::default().push(f64::NAN);
+    }
+
+    /// The sketch's reads as computed before memoization: clone and
+    /// sort every retained item on each call.
+    fn oracle_quantile(s: &QuantileSketch, p: f64) -> Option<f64> {
+        if s.count == 0 {
+            return None;
+        }
+        if s.is_exact() {
+            let mut sorted = s.levels[0].clone();
+            sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+            return quantile_sorted(&sorted, p);
+        }
+        let mut items: Vec<(f64, u64)> = Vec::new();
+        for (level, buf) in s.levels.iter().enumerate() {
+            items.extend(buf.iter().map(|&x| (x, 1u64 << level)));
+        }
+        items.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let total: u64 = items.iter().map(|&(_, w)| w).sum();
+        let target = p * total as f64;
+        let mut cum = 0u64;
+        for &(x, w) in &items {
+            cum += w;
+            if cum as f64 >= target {
+                return Some(x);
+            }
+        }
+        items.last().map(|&(x, _)| x)
+    }
+
+    fn oracle_mean(s: &QuantileSketch) -> Option<f64> {
+        if s.count == 0 {
+            return None;
+        }
+        if s.is_exact() {
+            let mut sorted = s.levels[0].clone();
+            sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+            return Some(sorted.iter().sum::<f64>() / sorted.len() as f64);
+        }
+        let mut sum = 0.0;
+        let mut weight = 0u64;
+        for (level, buf) in s.levels.iter().enumerate() {
+            weight += (1u64 << level) * buf.len() as u64;
+            sum += buf.iter().sum::<f64>() * (1u64 << level) as f64;
+        }
+        Some(sum / weight as f64)
+    }
+
+    /// Every read of `s`, bit for bit against the oracle. Reading leaves
+    /// the sketch equal to a clone taken before the read.
+    fn check_reads(s: &QuantileSketch) -> Result<(), TestCaseError> {
+        let unread = s.clone();
+        for p in [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+            prop_assert_eq!(
+                s.quantile(p).map(f64::to_bits),
+                oracle_quantile(s, p).map(f64::to_bits),
+                "p = {} after {} pushes",
+                p,
+                s.len()
+            );
+        }
+        prop_assert_eq!(
+            s.mean().map(f64::to_bits),
+            oracle_mean(s).map(f64::to_bits),
+            "mean after {} pushes",
+            s.len()
+        );
+        prop_assert_eq!(s, &unread);
+        prop_assert_eq!(&s.clone(), &unread);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // Small capacities compact many times; reads between pushes
+        // invalidate the memoized order both by plain pushes and by
+        // compactions. Values are drawn so ties are common (-0.0 is
+        // never produced: it ties with +0.0 and either may be returned).
+        #[test]
+        fn memoized_reads_match_clone_and_sort(
+            capacity in 8usize..=64,
+            pushes in proptest::collection::vec((0u32..300, 0u32..1000, 0u32..4), 1..700),
+        ) {
+            let mut sketch = QuantileSketch::new(capacity);
+            for &(coarse, fine, read) in &pushes {
+                let x = if fine % 3 == 0 {
+                    f64::from(coarse % 16)
+                } else {
+                    f64::from(coarse) - 100.0 + f64::from(fine) / 1000.0
+                };
+                sketch.push(x);
+                if read == 0 {
+                    check_reads(&sketch)?;
+                }
+            }
+            check_reads(&sketch)?;
+        }
     }
 
     #[test]

@@ -295,9 +295,10 @@ impl WatchState {
     }
 
     /// Forces the view's deferred sorted-array merges now (see
-    /// [`StreamView::materialize`]); the watch loop calls this before
-    /// rendering summaries so parallel section renderers read zero-cost
-    /// slices instead of racing to build the merge cache.
+    /// [`StreamView::materialize`]). The watch loop never needs it: no
+    /// summary section or drift check reads the sorted runs, and the
+    /// deferred merges stay amortized O(1) per push. Ingest benchmarks
+    /// call it to count the merge cost.
     pub fn materialize(&mut self) {
         self.view.materialize();
     }

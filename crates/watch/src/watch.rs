@@ -6,17 +6,15 @@
 //! text blocks (or NDJSON section lines with
 //! [`WatchConfig::json_summaries`]) refreshed every `refresh_every`
 //! records (and once at end of stream). Summaries dispatch through the
-//! typed [`WATCH_SECTIONS`] registry and render via
-//! [`failstats::par_map_ordered`], so the output is byte-identical at
-//! any thread count — the same guarantee the batch report pipeline
-//! makes.
+//! typed [`WATCH_SECTIONS`] registry and render in order on the loop
+//! thread: each section reads memoized state and costs microseconds, so
+//! a worker pool per summary would cost more than it saves.
 
 use std::io::Write;
 use std::thread;
 use std::time::Duration;
 
 use failfilter::CompiledPredicate;
-use failstats::par_map_ordered;
 use failtrace::Collector;
 use failtypes::{Alert, FailureRecord, JsonValue};
 
@@ -131,9 +129,6 @@ pub struct WatchConfig {
     pub max_idle_polls: Option<u64>,
     /// Stop after ingesting this many records (`None` = run to EOF).
     pub max_records: Option<usize>,
-    /// Worker threads for summary rendering (1 = serial; any value
-    /// produces byte-identical output).
-    pub threads: usize,
     /// Emit summaries as NDJSON section lines instead of `#` text.
     pub json_summaries: bool,
     /// Summary sections to render, in order (defaults to all of
@@ -160,7 +155,6 @@ impl Default for WatchConfig {
             idle_sleep_ms: 200,
             max_idle_polls: None,
             max_records: None,
-            threads: 1,
             json_summaries: false,
             summary_sections: WATCH_SECTIONS.iter().collect(),
             filter: None,
@@ -179,7 +173,7 @@ impl WatchConfig {
 /// Validating builder for [`WatchConfig`].
 ///
 /// [`build`](WatchConfigBuilder::build) rejects loop parameters the run
-/// cannot honour (a zero refresh cadence or zero worker threads) with a
+/// cannot honour (a zero refresh cadence or ingest chunk) with a
 /// [`failtypes::Error::Config`] naming the offending knob.
 ///
 /// # Examples
@@ -187,9 +181,9 @@ impl WatchConfig {
 /// ```
 /// use failwatch::WatchConfig;
 ///
-/// let config = WatchConfig::builder().max_records(25).threads(4).build()?;
+/// let config = WatchConfig::builder().max_records(25).build()?;
 /// assert_eq!(config.max_records, Some(25));
-/// assert!(WatchConfig::builder().threads(0).build().is_err());
+/// assert!(WatchConfig::builder().refresh_every(0).build().is_err());
 /// # Ok::<(), failtypes::Error>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -241,13 +235,6 @@ impl WatchConfigBuilder {
         self
     }
 
-    /// Worker threads for summary rendering.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
     /// Emit summaries as NDJSON section lines instead of `#` text.
     #[must_use]
     pub fn json_summaries(mut self, json: bool) -> Self {
@@ -282,7 +269,7 @@ impl WatchConfigBuilder {
     /// # Errors
     ///
     /// [`failtypes::Error::Config`] (target `watch loop`) when the
-    /// refresh cadence or thread count is zero, or no summary section
+    /// refresh cadence or ingest chunk is zero, or no summary section
     /// is selected.
     pub fn build(self) -> failtypes::Result<WatchConfig> {
         let c = &self.config;
@@ -296,12 +283,6 @@ impl WatchConfigBuilder {
             return Err(failtypes::Error::config(
                 "watch loop",
                 "ingest chunk must hold at least 1 record",
-            ));
-        }
-        if c.threads == 0 {
-            return Err(failtypes::Error::config(
-                "watch loop",
-                "summary rendering needs at least 1 worker thread",
             ));
         }
         if c.summary_sections.is_empty() {
@@ -417,7 +398,6 @@ pub fn run(
                 }
             }
             if records.is_multiple_of(refresh) {
-                state.materialize();
                 out.write_all(config_summary(&state, config).as_bytes())?;
             }
             if config.max_records.is_some_and(|max| records >= max) {
@@ -438,7 +418,6 @@ pub fn run(
         }
     }
 
-    state.materialize();
     out.write_all(config_summary(&state, config).as_bytes())?;
     if let Some(trace) = &config.trace {
         trace.incr("watch.sketch_compactions", state.sketch_compactions());
@@ -458,23 +437,18 @@ pub fn run(
 }
 
 fn config_summary(state: &WatchState, config: &WatchConfig) -> String {
-    render_summary_sections(
-        state,
-        &config.summary_sections,
-        config.threads,
-        config.json_summaries,
-    )
+    render_summary_sections(state, &config.summary_sections, config.json_summaries)
 }
 
-/// Renders the full periodic summary block as text — byte-identical at
-/// any `threads` value.
-pub fn render_summary(state: &WatchState, threads: usize) -> String {
+/// Renders the full periodic summary block as text. `threads` is
+/// accepted for existing callers and has no effect: sections render in
+/// order on the calling thread.
+pub fn render_summary(state: &WatchState, _threads: usize) -> String {
     let sections: Vec<&WatchSection> = WATCH_SECTIONS.iter().collect();
-    render_summary_sections(state, &sections, threads, false)
+    render_summary_sections(state, &sections, false)
 }
 
-/// Renders a summary section selection via [`par_map_ordered`] (so the
-/// output is byte-identical at any `threads` value), either as the
+/// Renders a summary section selection in order, either as the
 /// `#`-prefixed text block or as NDJSON `{"id","title","data"}` lines.
 ///
 /// An empty state renders as `"# summary: no records yet\n"` in text
@@ -482,33 +456,32 @@ pub fn render_summary(state: &WatchState, threads: usize) -> String {
 pub fn render_summary_sections(
     state: &WatchState,
     sections: &[&WatchSection],
-    threads: usize,
     json: bool,
 ) -> String {
     if state.is_empty() && !json {
         return String::from("# summary: no records yet\n");
     }
-    par_map_ordered(sections.len(), threads, |i| {
-        let section = sections[i];
+    let mut out = String::new();
+    for section in sections {
         if json {
             let data = if state.is_empty() {
                 JsonValue::Null
             } else {
                 (section.json)(state)
             };
-            let mut line = JsonValue::object()
+            let line = JsonValue::object()
                 .field("id", section.id)
                 .field("title", section.title)
                 .field("data", data)
                 .build()
                 .render();
-            line.push('\n');
-            line
+            out.push_str(&line);
+            out.push('\n');
         } else {
-            (section.text)(state)
+            out.push_str(&(section.text)(state));
         }
-    })
-    .concat()
+    }
+    out
 }
 
 fn json_overview(state: &WatchState) -> JsonValue {
@@ -728,20 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_is_byte_identical_across_thread_counts() {
-        let (_, state) = {
-            let (outcome, _) = watch_sim(7, None, &WatchConfig::default());
-            (outcome.records, outcome.state)
-        };
-        let serial = render_summary(&state, 1);
-        for threads in [2, 4, 8] {
-            assert_eq!(serial, render_summary(&state, threads), "threads={threads}");
-        }
-        assert!(serial.contains("# summary @"));
-        assert!(serial.contains("categories:"));
-    }
-
-    #[test]
     fn max_records_bounds_the_run() {
         let config = WatchConfig::builder().max_records(25).build().unwrap();
         let (outcome, _) = watch_sim(1, None, &config);
@@ -777,11 +736,11 @@ mod tests {
 
     #[test]
     fn whole_stream_output_is_deterministic() {
-        let config_a = WatchConfig::builder().threads(1).build().unwrap();
-        let config_b = WatchConfig::builder().threads(6).build().unwrap();
-        let (_, out_a) = watch_sim(3, Some((4.0, 0.6)), &config_a);
-        let (_, out_b) = watch_sim(3, Some((4.0, 0.6)), &config_b);
+        let (_, out_a) = watch_sim(3, Some((4.0, 0.6)), &WatchConfig::default());
+        let (_, out_b) = watch_sim(3, Some((4.0, 0.6)), &WatchConfig::default());
         assert_eq!(out_a, out_b);
+        assert!(out_a.contains("# summary @"));
+        assert!(out_a.contains("categories:"));
     }
 
     #[test]
@@ -790,26 +749,19 @@ mod tests {
             .generate()
             .unwrap();
         let state = WatchState::for_log(&log, StateConfig::default());
-        assert_eq!(render_summary(&state, 4), "# summary: no records yet\n");
+        assert_eq!(render_summary(&state, 1), "# summary: no records yet\n");
         // JSON mode still emits one line per section, with null data.
         let sections: Vec<&WatchSection> = WATCH_SECTIONS.iter().collect();
-        let json = render_summary_sections(&state, &sections, 2, true);
+        let json = render_summary_sections(&state, &sections, true);
         assert_eq!(json.lines().count(), WATCH_SECTIONS.len());
         assert!(json.starts_with(r#"{"id":"overview","title":"Stream overview","data":null}"#));
     }
 
     #[test]
-    fn json_summaries_are_thread_identical_ndjson() {
+    fn json_summaries_are_one_ndjson_line_per_section() {
         let (outcome, _) = watch_sim(7, None, &WatchConfig::default());
         let sections: Vec<&WatchSection> = WATCH_SECTIONS.iter().collect();
-        let serial = render_summary_sections(&outcome.state, &sections, 1, true);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                serial,
-                render_summary_sections(&outcome.state, &sections, threads, true),
-                "threads={threads}"
-            );
-        }
+        let serial = render_summary_sections(&outcome.state, &sections, true);
         let lines: Vec<&str> = serial.lines().collect();
         assert_eq!(lines.len(), WATCH_SECTIONS.len());
         for (line, section) in lines.iter().zip(WATCH_SECTIONS) {
@@ -828,7 +780,7 @@ mod tests {
         assert!(select_watch_sections("").is_err());
 
         let (outcome, _) = watch_sim(7, None, &WatchConfig::default());
-        let text = render_summary_sections(&outcome.state, &picked, 2, false);
+        let text = render_summary_sections(&outcome.state, &picked, false);
         assert!(text.contains("gpu slots:"));
         assert!(text.contains("# summary @"));
         assert!(!text.contains("categories:"));
@@ -840,7 +792,6 @@ mod tests {
         for bad in [
             WatchConfig::builder().refresh_every(0).build(),
             WatchConfig::builder().ingest_chunk(0).build(),
-            WatchConfig::builder().threads(0).build(),
             WatchConfig::builder().summary_sections(Vec::new()).build(),
         ] {
             let err = bad.unwrap_err();

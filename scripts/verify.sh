@@ -249,6 +249,23 @@ cmp -s "$srv_dir/tsubame3.cli.txt" "$srv_dir/tsubame3.postevict.txt" || {
     echo "verify: post-evict faild query differs from the direct CLI report" >&2
     exit 1
 }
+# Watch over a log long enough to compact the quantile sketches
+# (~11k records): the daemon's stream must equal the CLI's byte for
+# byte, and some summary must come from the sketched path.
+cargo run -q --release -p failctl -- scenario --nodes 1408 --mtbf 0.8 \
+    --days 365 --seed 3 --out "$srv_dir/compacting.fslog" >/dev/null
+cargo run -q --release -p failctl -- watch "$srv_dir/compacting.fslog" \
+    --refresh 1000 > "$srv_dir/watch.cli.txt"
+cargo run -q --release -p failctl -- query --socket "$srv_dir/faild.sock" \
+    watch "$srv_dir/compacting.fslog" --refresh 1000 > "$srv_dir/watch.faild.txt"
+cmp -s "$srv_dir/watch.cli.txt" "$srv_dir/watch.faild.txt" || {
+    echo "verify: faild watch differs from the direct CLI watch on a compacting log" >&2
+    exit 1
+}
+grep -q "(sketched)" "$srv_dir/watch.cli.txt" || {
+    echo "verify: the compacting watch never printed a (sketched) summary" >&2
+    exit 1
+}
 cargo run -q --release -p failctl -- query --socket "$srv_dir/faild.sock" \
     shutdown >/dev/null
 wait "$srv_pid" || {
