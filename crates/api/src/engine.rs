@@ -7,13 +7,15 @@
 //! always cold and execution is exactly the old in-CLI pipeline. The
 //! server keeps one engine alive across clients; that engine memoizes
 //!
-//! * **parsed logs** — keyed by source identity *and content
+//! * **indexed logs** — keyed by source identity *and content
 //!   fingerprint* (`(path, bytes, crc32, chunk size, filter)` for
 //!   files, `(name, seed)` for models). Each entry stores the
-//!   [`Collector`] that recorded the original parse/generation, and a
-//!   cache hit replays those instruments into the new query's collector
-//!   ([`Collector::merge_from`]), so the `metrics` section and `--trace`
-//!   exports stay byte-identical to an uncached run.
+//!   [`StreamView`] built from the parsed or generated records, plus
+//!   the [`Collector`]s that recorded the parse/generation and the
+//!   index build; a cache hit replays those instruments into the new
+//!   query's collector ([`Collector::merge_from`]), so the `metrics`
+//!   section and `--trace` exports stay byte-identical to an uncached
+//!   run.
 //! * **rendered outputs** — keyed by the full query shape (command,
 //!   source fingerprints, filters, sections, format, chunk size, index
 //!   policy, and — when snapshots are in play — the snapshot freshness
@@ -31,9 +33,9 @@
 //! CLI would never write a snapshot) is remembered together with the
 //! [`failindex::SourceInfo`] fingerprint of the bytes it parsed.
 //! [`QueryEngine::persist_dirty`] — called by the server on graceful
-//! shutdown — writes those indexes to disk so the next process starts
-//! warm. Auto-mode cold parses refresh their snapshot immediately,
-//! exactly like the CLI always has.
+//! shutdown — writes those memoized views to disk so the next process
+//! starts warm. Auto-mode cold parses refresh their snapshot
+//! immediately, exactly like the CLI always has.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -42,7 +44,7 @@ use std::sync::{Arc, Mutex};
 use failfilter::CompiledPredicate;
 use failindex::{Freshness, IndexMode, IndexedLoad, SourceInfo};
 use faillog::ParseOptions;
-use failscope::SectionCtx;
+use failscope::{SectionCtx, StreamView};
 use failsim::{Simulator, SystemModel};
 use failtrace::Collector;
 use failtypes::{Error, FailureLog, JsonValue, Result};
@@ -68,11 +70,14 @@ pub struct QueryOutcome {
     pub cached: bool,
 }
 
-/// A parsed (or generated) log plus the collector that recorded the
-/// work, replayed into later queries that reuse the entry.
+/// A parsed (or generated) log, indexed once, plus the collectors that
+/// recorded the work, replayed into later queries that reuse the entry.
 struct CachedLog {
-    log: Arc<FailureLog>,
+    view: Arc<StreamView>,
+    /// The parse or generation instruments.
     load_trace: Collector,
+    /// The index build's instruments (see [`Indexed`]).
+    index_trace: Collector,
     /// Catalog grouping id: the file path, or `model:{name}:{seed}`.
     /// Several cache entries (chunk-size or filter variants) share one
     /// id; `logs`/`evict` operate on the id, not the entry key.
@@ -84,8 +89,17 @@ struct CachedLog {
 /// An unfiltered cold-parsed file log eligible for snapshot
 /// persistence at shutdown.
 struct DirtyLog {
-    log: Arc<FailureLog>,
+    view: Arc<StreamView>,
     source: SourceInfo,
+}
+
+/// A report or compare input: the view, plus the instruments of its
+/// index build when it was built from parsed records (empty for a
+/// warm snapshot). Reports replay them; `compare` never traced its
+/// index build, so it leaves them out.
+struct Indexed {
+    view: Arc<StreamView>,
+    index_trace: Collector,
 }
 
 struct RenderEntry {
@@ -255,7 +269,6 @@ impl QueryEngine {
         if let Some((key, _)) = &key {
             let mut renders = self.renders.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(entry) = renders.map.get(key) {
-                self.metrics.incr("engine.render_cache.hit", 1);
                 self.metrics.incr("cache.hits", 1);
                 let trace = Collector::new();
                 trace.merge_from(&entry.trace);
@@ -268,7 +281,6 @@ impl QueryEngine {
                 });
             }
         }
-        self.metrics.incr("engine.render_cache.miss", 1);
         self.metrics.incr("cache.misses", 1);
         let trace = Collector::new();
         let output = match &req.cmd {
@@ -293,8 +305,6 @@ impl QueryEngine {
                 );
                 let evicted = renders.evict_to(self.cache_bytes);
                 if evicted > 0 {
-                    self.metrics
-                        .incr("engine.render_cache.evicted", evicted as u64);
                     self.metrics.incr("cache.evictions", evicted as u64);
                 }
             }
@@ -320,8 +330,7 @@ impl QueryEngine {
             if matches!(failindex::probe(&path), Ok(Freshness::Exact)) {
                 continue;
             }
-            let view = failscope::LogView::new(&entry.log);
-            if failindex::save(failindex::snapshot_path(&path), &view, entry.source).is_ok() {
+            if failindex::save(failindex::snapshot_path(&path), &entry.view, entry.source).is_ok() {
                 written += 1;
                 self.metrics.incr("engine.snapshots_persisted", 1);
             }
@@ -423,7 +432,7 @@ impl QueryEngine {
                 group.log_entries += 1;
                 // Filtered variants parse fewer records; report the
                 // fullest parse the engine holds.
-                group.records = group.records.max(entry.log.len());
+                group.records = group.records.max(entry.view.len());
                 if let Some(info) = &entry.source_info {
                     let wider = group.info.as_ref().is_none_or(|g| info.bytes >= g.bytes);
                     if wider {
@@ -497,8 +506,6 @@ impl QueryEngine {
             usize::from(dirty.remove(&catalog_id).is_some())
         };
         if renders > 0 {
-            self.metrics
-                .incr("engine.render_cache.evicted", renders as u64);
             self.metrics.incr("cache.evictions", renders as u64);
         }
         self.metrics.incr("engine.catalog.evict", 1);
@@ -525,36 +532,36 @@ impl QueryEngine {
             Some(spec) => failscope::select_sections(spec)?,
             None => failscope::SECTIONS.iter().collect(),
         };
-        let input = match source {
+        let view = match source {
             QuerySource::Model { name, seed } => {
                 if let Some(mode) = opts.index {
                     return Err(Error::args(format!(
                         "--index {mode} only applies to file input (--model {name} is generated in-process)"
                     )));
                 }
-                let log = self.model_log(name, *seed, trace)?;
+                let model = self.model_log(name, *seed, trace)?;
                 // The model path never touches the parser; the
-                // predicate applies directly to the generated records.
+                // predicate applies directly to the generated view.
                 match filter {
-                    Some(p) => {
-                        let (spec, window) = (log.spec().clone(), log.window());
-                        ReportInput::Cold(Arc::new(log.filtered(|r| p.matches(r, &spec, window))))
+                    Some(p) => Arc::new(StreamView::traced(Some(trace), || {
+                        apply_filter(&model.view, p)
+                    })),
+                    None => {
+                        trace.merge_from(&model.index_trace);
+                        model.view
                     }
-                    None => ReportInput::Cold(log),
                 }
             }
-            QuerySource::File(path) => self.open_report_input(req, path, trace, filter)?,
-        };
-        let render = |ctx: &SectionCtx<'_>| match opts.format {
-            OutputFormat::Text => failscope::render_text_sections(&sections, ctx, opts.threads),
-            OutputFormat::Json => failscope::render_json_sections(&sections, ctx, opts.threads),
-        };
-        let body = match &input {
-            ReportInput::Warm(view) => render(&SectionCtx::with_trace(view.as_ref(), trace)),
-            ReportInput::Cold(log) => {
-                let view = failscope::LogView::new_traced(log, Some(trace));
-                render(&SectionCtx::with_trace(&view, trace))
+            QuerySource::File(path) => {
+                let input = self.file_input(req, path, trace, filter)?;
+                trace.merge_from(&input.index_trace);
+                input.view
             }
+        };
+        let ctx = SectionCtx::with_trace(&view, trace);
+        let body = match opts.format {
+            OutputFormat::Text => failscope::render_text_sections(&sections, &ctx, opts.threads),
+            OutputFormat::Json => failscope::render_json_sections(&sections, &ctx, opts.threads),
         };
         Ok(version_header(opts.format, "report") + &body)
     }
@@ -570,8 +577,8 @@ impl QueryEngine {
     ) -> Result<String> {
         let opts = &req.opts;
         validate_chunk(opts)?;
-        let older = self.load_compare_input(req, old, trace, filter)?;
-        let newer = self.load_compare_input(req, new, trace, filter)?;
+        let older = self.file_input(req, old, trace, filter)?.view;
+        let newer = self.file_input(req, new, trace, filter)?.view;
         let body = trace.time("compare.render", || match opts.format {
             OutputFormat::Text => {
                 failscope::render_comparison_threaded(&older, &newer, opts.threads)
@@ -581,74 +588,36 @@ impl QueryEngine {
         Ok(version_header(opts.format, "compare") + &body)
     }
 
-    /// Loads a report's file input honouring the index policy and the
-    /// query's filter: a warm snapshot is served without parsing the
-    /// log (exact hit) or by parsing only its appended tail (prefix
-    /// hit), with the predicate applied to the decoded view; otherwise
-    /// the log is parsed cold with the predicate pushed into the
-    /// parser. Auto mode refreshes the snapshot best-effort after an
-    /// *unfiltered* cold parse only — a filtered parse never sees the
+    /// Loads a file input honouring the index policy and the query's
+    /// filter: a warm snapshot is served without parsing the log (exact
+    /// hit) or by parsing only its appended tail (prefix hit), with the
+    /// predicate applied to the decoded view; otherwise the log is
+    /// parsed cold with the predicate pushed into the parser. Auto mode
+    /// refreshes the snapshot best-effort from the memoized view after
+    /// an *unfiltered* cold parse only — a filtered parse never sees the
     /// whole log, and snapshots must.
-    fn open_report_input(
+    fn file_input(
         &self,
         req: &QueryRequest,
         path: &str,
         trace: &Collector,
         filter: &Option<CompiledPredicate>,
-    ) -> Result<ReportInput> {
-        let opts = &req.opts;
-        let mode = opts.index_mode();
-        if mode == IndexMode::Off {
-            let log = self.file_log(path, opts, filter, trace)?;
-            return Ok(ReportInput::Cold(log));
-        }
-        let warm = |view: failscope::StreamView| -> Result<ReportInput> {
-            Ok(ReportInput::Warm(Box::new(filter_view(view, filter))))
-        };
-        match failindex::open_indexed(path, Some(trace))? {
-            IndexedLoad::Exact(snap) => warm(snap.into_view()),
-            IndexedLoad::Extended { snapshot, .. } => warm(snapshot.into_view()),
-            IndexedLoad::Cold { source } => {
-                if mode == IndexMode::Require {
-                    return Err(require_warm_err(path, opts));
-                }
-                if filter.is_some() {
-                    let log = self.file_log(path, opts, filter, trace)?;
-                    return Ok(ReportInput::Cold(log));
-                }
-                let log = self.file_log(path, opts, &None, trace)?;
-                failindex::save_traced(
-                    failindex::snapshot_path(path),
-                    &failscope::LogView::new(&log),
-                    source,
-                    Some(trace),
-                )
-                .ok();
-                Ok(ReportInput::Cold(log))
-            }
-        }
-    }
-
-    /// Loads one `compare` input; warm snapshots are filtered as
-    /// decoded views and converted back to a log without parsing (the
-    /// comparison renderer works on logs).
-    fn load_compare_input(
-        &self,
-        req: &QueryRequest,
-        path: &str,
-        trace: &Collector,
-        filter: &Option<CompiledPredicate>,
-    ) -> Result<Arc<FailureLog>> {
+    ) -> Result<Indexed> {
         let opts = &req.opts;
         let mode = opts.index_mode();
         if mode == IndexMode::Off {
             return self.file_log(path, opts, filter, trace);
         }
+        let warm = |view: StreamView| Indexed {
+            view: Arc::new(match filter {
+                Some(p) => apply_filter(&view, p),
+                None => view,
+            }),
+            index_trace: Collector::new(),
+        };
         match failindex::open_indexed(path, Some(trace))? {
-            IndexedLoad::Exact(snap) => Ok(Arc::new(filter_view(snap.into_view(), filter).to_log())),
-            IndexedLoad::Extended { snapshot, .. } => {
-                Ok(Arc::new(filter_view(snapshot.into_view(), filter).to_log()))
-            }
+            IndexedLoad::Exact(snap) => Ok(warm(snap.into_view())),
+            IndexedLoad::Extended { snapshot, .. } => Ok(warm(snapshot.into_view())),
             IndexedLoad::Cold { source } => {
                 if mode == IndexMode::Require {
                     return Err(require_warm_err(path, opts));
@@ -656,58 +625,45 @@ impl QueryEngine {
                 if filter.is_some() {
                     return self.file_log(path, opts, filter, trace);
                 }
-                let log = self.file_log(path, opts, &None, trace)?;
+                let input = self.file_log(path, opts, &None, trace)?;
                 failindex::save_traced(
                     failindex::snapshot_path(path),
-                    &failscope::LogView::new(&log),
+                    &input.view,
                     source,
                     Some(trace),
                 )
                 .ok();
-                Ok(log)
+                Ok(input)
             }
         }
     }
 
-    /// A memoized in-process model generation. The stored load trace is
-    /// replayed into `trace` so a cache hit's metrics are identical to
-    /// a fresh generation.
-    fn model_log(&self, name: &str, seed: u64, trace: &Collector) -> Result<Arc<FailureLog>> {
+    /// A memoized in-process model generation, indexed once. The stored
+    /// generation trace is replayed into `trace` so a cache hit's
+    /// metrics are identical to a fresh generation.
+    fn model_log(&self, name: &str, seed: u64, trace: &Collector) -> Result<Indexed> {
         let model = model_by_name(name)?;
         let key = format!("model:{name}:{seed}");
-        {
-            let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = logs.get(&key) {
-                self.metrics.incr("engine.log_cache.hit", 1);
-                trace.merge_from(&entry.load_trace);
-                return Ok(Arc::clone(&entry.log));
-            }
+        if let Some(hit) = self.cached_log(&key, trace) {
+            return Ok(hit);
         }
-        self.metrics.incr("engine.log_cache.miss", 1);
         let load_trace = Collector::new();
-        let log = Arc::new(Simulator::new(model, seed).generate_traced(Some(&load_trace))?);
+        let log = Simulator::new(model, seed).generate_traced(Some(&load_trace))?;
         trace.merge_from(&load_trace);
-        let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
-        logs.entry(key.clone()).or_insert(CachedLog {
-            log: Arc::clone(&log),
-            load_trace,
-            catalog_id: key,
-            source_info: None,
-        });
-        Ok(log)
+        Ok(self.remember(key.clone(), log, load_trace, key, None))
     }
 
     /// A memoized cold file parse (with the query's filter pushed into
-    /// the parser), keyed by content fingerprint so a grown or
-    /// rewritten log re-parses. Unfiltered parses are remembered for
-    /// snapshot persistence at shutdown.
+    /// the parser), indexed once and keyed by content fingerprint so a
+    /// grown or rewritten log re-parses. Unfiltered parses are
+    /// remembered for snapshot persistence at shutdown.
     fn file_log(
         &self,
         path: &str,
         opts: &QueryOptions,
         filter: &Option<CompiledPredicate>,
         trace: &Collector,
-    ) -> Result<Arc<FailureLog>> {
+    ) -> Result<Indexed> {
         let parse_opts = {
             let mut p = ParseOptions::new()
                 .threads(opts.threads)
@@ -721,7 +677,9 @@ impl QueryEngine {
             let load_trace = Collector::new();
             let log = load_traced(path, &load_trace, &parse_opts)?;
             trace.merge_from(&load_trace);
-            return Ok(Arc::new(log));
+            let index_trace = Collector::new();
+            let view = Arc::new(StreamView::from_log(log, Some(&index_trace)));
+            return Ok(Indexed { view, index_trace });
         };
         let filter_tag = match (&filter, opts) {
             (None, _) => String::from("-"),
@@ -734,36 +692,64 @@ impl QueryEngine {
             "file:{path}:{}:{:08x}:c{}:{filter_tag}",
             info.bytes, info.crc32, opts.chunk_bytes
         );
-        {
-            let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = logs.get(&key) {
-                self.metrics.incr("engine.log_cache.hit", 1);
-                trace.merge_from(&entry.load_trace);
-                return Ok(Arc::clone(&entry.log));
-            }
+        if let Some(hit) = self.cached_log(&key, trace) {
+            return Ok(hit);
         }
-        self.metrics.incr("engine.log_cache.miss", 1);
         let load_trace = Collector::new();
-        let log = Arc::new(load_traced(path, &load_trace, &parse_opts)?);
+        let log = load_traced(path, &load_trace, &parse_opts)?;
         trace.merge_from(&load_trace);
+        let input = self.remember(key, log, load_trace, path.to_string(), Some(info));
         if filter.is_none() {
             let mut dirty = self.dirty.lock().unwrap_or_else(|e| e.into_inner());
             dirty.insert(
                 path.to_string(),
                 DirtyLog {
-                    log: Arc::clone(&log),
+                    view: Arc::clone(&input.view),
                     source: info,
                 },
             );
         }
+        Ok(input)
+    }
+
+    /// A memoized log by cache key, with its load trace replayed into
+    /// `trace`; counts the lookup.
+    fn cached_log(&self, key: &str, trace: &Collector) -> Option<Indexed> {
+        let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(entry) = logs.get(key) else {
+            self.metrics.incr("engine.log_cache.miss", 1);
+            return None;
+        };
+        self.metrics.incr("engine.log_cache.hit", 1);
+        trace.merge_from(&entry.load_trace);
+        Some(Indexed {
+            view: Arc::clone(&entry.view),
+            index_trace: entry.index_trace.clone(),
+        })
+    }
+
+    /// Indexes a freshly parsed or generated log (moving its records)
+    /// and memoizes it under `key`; a concurrent query that got there
+    /// first keeps its entry.
+    fn remember(
+        &self,
+        key: String,
+        log: FailureLog,
+        load_trace: Collector,
+        catalog_id: String,
+        source_info: Option<SourceInfo>,
+    ) -> Indexed {
+        let index_trace = Collector::new();
+        let view = Arc::new(StreamView::from_log(log, Some(&index_trace)));
         let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
         logs.entry(key).or_insert(CachedLog {
-            log: Arc::clone(&log),
+            view: Arc::clone(&view),
             load_trace,
-            catalog_id: path.to_string(),
-            source_info: Some(info),
+            index_trace: index_trace.clone(),
+            catalog_id,
+            source_info,
         });
-        Ok(log)
+        Indexed { view, index_trace }
     }
 }
 
@@ -854,13 +840,6 @@ pub fn render_catalog(entries: &[CatalogEntry]) -> String {
     out
 }
 
-/// A report's resolved input: a warm snapshot index, or a cold-parsed
-/// (possibly filtered at ingest) log.
-enum ReportInput {
-    Warm(Box<failscope::StreamView>),
-    Cold(Arc<FailureLog>),
-}
-
 /// The `{"v":1,...}` header line versioning every JSON output; text
 /// output is unversioned (it is not a machine schema).
 fn version_header(format: OutputFormat, kind: &str) -> String {
@@ -938,22 +917,13 @@ pub(crate) fn compile_filter(
     Ok(pred)
 }
 
-/// Filters a snapshot-decoded view through the query's predicate
-/// (identity without one). Snapshots always persist unfiltered state;
-/// this is where a `--where` composes with a warm index — still with
-/// zero parsing.
-fn filter_view(
-    view: failscope::StreamView,
-    filter: &Option<CompiledPredicate>,
-) -> failscope::StreamView {
-    match filter {
-        Some(p) => {
-            let spec = view.spec().clone();
-            let window = view.window();
-            view.filtered(|r| p.matches(r, &spec, window))
-        }
-        None => view,
-    }
+/// Filters an indexed view through the query's predicate. Snapshots
+/// always persist unfiltered state; this is where a `--where` composes
+/// with a warm index — still with zero parsing — and with a generated
+/// model.
+fn apply_filter(view: &StreamView, p: &CompiledPredicate) -> StreamView {
+    let (spec, window) = (view.spec().clone(), view.window());
+    view.filtered(|r| p.matches(r, &spec, window))
 }
 
 fn require_warm_err(path: &str, opts: &QueryOptions) -> Error {

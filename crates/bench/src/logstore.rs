@@ -1,8 +1,7 @@
 //! Process-wide memoized store of simulated failure logs.
 //!
 //! Every consumer of a `(model, seed)` log — the paper-figure
-//! experiments, the seed-sweep averages, the Criterion benches, the
-//! `repro` binary — fetches it through [`LogStore::global`], so each
+//! experiments, the seed-sweep averages, the `repro` binary — fetches it through [`LogStore::global`], so each
 //! distinct log is simulated **exactly once per process** and shared as
 //! an [`Arc<FailureLog>`] with no cloning of record vectors.
 //!
@@ -11,22 +10,27 @@
 //! [`LogStore::simulations`] must equal [`LogStore::entries`] no matter
 //! how many experiments ran or how many threads raced on the same key.
 //!
-//! Concurrency: the map itself is guarded by a [`parking_lot::Mutex`]
-//! held only long enough to clone a per-key cell; the simulation runs
+//! Concurrency: the map itself is guarded by a [`Mutex`] held only
+//! long enough to clone a per-key cell; the simulation runs
 //! outside that lock inside the cell's [`OnceLock`], so two threads
 //! racing on *different* keys simulate in parallel while two threads
 //! racing on the *same* key serialize on the cell and share one result.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use failsim::{Simulator, SystemModel};
 use failtypes::FailureLog;
-use parking_lot::Mutex;
 
 type Key = (String, u64);
 type Cell = Arc<OnceLock<Arc<FailureLog>>>;
+
+/// Locks a cell map, ignoring poisoning: the lock only guards inserting
+/// or cloning a cell, so the map stays consistent whatever panicked.
+fn locked<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Memoized cache of simulated logs keyed by `(model, seed)`, plus
 /// on-disk logs keyed by path (served from warm `.fsidx` snapshots
@@ -74,7 +78,7 @@ impl LogStore {
     pub fn get(&self, model: &SystemModel, seed: u64) -> Arc<FailureLog> {
         let key = (format!("{model:?}"), seed);
         let cell = {
-            let mut cells = self.cells.lock();
+            let mut cells = locked(&self.cells);
             Arc::clone(cells.entry(key).or_default())
         };
         if let Some(log) = cell.get() {
@@ -103,7 +107,7 @@ impl LogStore {
     /// problems silently fall back to a cold parse.
     pub fn get_path(&self, path: &str) -> failtypes::Result<Arc<FailureLog>> {
         let cell = {
-            let mut cells = self.file_cells.lock();
+            let mut cells = locked(&self.file_cells);
             Arc::clone(cells.entry(path.to_string()).or_default())
         };
         if let Some(log) = cell.get() {
@@ -128,7 +132,7 @@ impl LogStore {
 
     /// Number of distinct `(model, seed)` keys ever requested.
     pub fn entries(&self) -> u64 {
-        self.cells.lock().len() as u64
+        locked(&self.cells).len() as u64
     }
 
     /// Number of simulations actually run — equals [`Self::entries`]
@@ -157,8 +161,8 @@ impl LogStore {
     /// Drops every cached log and resets the counters (used by the
     /// benchmark harness to time cold runs).
     pub fn clear(&self) {
-        self.cells.lock().clear();
-        self.file_cells.lock().clear();
+        locked(&self.cells).clear();
+        locked(&self.file_cells).clear();
         self.simulations.store(0, Ordering::Relaxed);
         self.loads.store(0, Ordering::Relaxed);
         self.snapshot_hits.store(0, Ordering::Relaxed);

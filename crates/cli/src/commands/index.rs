@@ -26,11 +26,12 @@ pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
             let source = failindex::SourceInfo::of_bytes(&raw);
             let log = faillog::load_traced_with(path, None, &parse_opts)
                 .map_err(|e| Error::run(format!("{path}: {e}")))?;
+            let view = failscope::StreamView::from_log(log, None);
             let spath = failindex::snapshot_path(path);
-            let bytes = failindex::save(&spath, &failscope::LogView::new(&log), source)?;
+            let bytes = failindex::save(&spath, &view, source)?;
             Ok(format!(
                 "indexed {} records -> {} ({bytes} bytes)\n",
-                log.len(),
+                view.len(),
                 spath.display()
             ))
         }
@@ -59,7 +60,8 @@ pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
             };
             let snap = failindex::load(&spath)?;
             let source = snap.source();
-            let spec = failscope::FleetIndex::spec(&snap);
+            let view = snap.view();
+            let spec = view.spec();
             let mut out = String::new();
             let _ = writeln!(out, "snapshot: {}", spath.display());
             let _ = writeln!(out, "format:   fsidx v{}", failindex::FORMAT_VERSION);
@@ -70,8 +72,8 @@ pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
                 spec.nodes(),
                 spec.gpus_per_node()
             );
-            let _ = writeln!(out, "window:   {}", failscope::FleetIndex::window(&snap));
-            let _ = writeln!(out, "records:  {}", failscope::FleetIndex::len(&snap));
+            let _ = writeln!(out, "window:   {}", view.window());
+            let _ = writeln!(out, "records:  {}", view.len());
             let _ = writeln!(
                 out,
                 "source:   {} bytes, {} lines, crc32 {:08x}",

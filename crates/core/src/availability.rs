@@ -10,7 +10,7 @@
 use failtypes::FailureLog;
 use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::StreamView;
 
 /// Repair-overlap and availability metrics of one log.
 ///
@@ -39,14 +39,14 @@ pub struct AvailabilityAnalysis {
 }
 
 impl AvailabilityAnalysis {
-    /// Computes the metrics from any [`FleetIndex`]; `None` when no
+    /// Computes the metrics from a [`StreamView`]; `None` when no
     /// failures are indexed.
     ///
     /// Exploits the index's time order twice: overlapping arrivals come
     /// from a single running maximum over earlier repair ends (`O(n)`
     /// instead of `O(n²)`), and the sweep events come from merging the
     /// pre-sorted start and end arrays instead of sorting `2n` events.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         if index.is_empty() {
             return None;
         }
@@ -112,13 +112,7 @@ impl AvailabilityAnalysis {
     /// `None` for an empty log.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`AvailabilityAnalysis::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Option<Self> {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// Probability that a failure arrives while at least one earlier

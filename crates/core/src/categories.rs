@@ -3,7 +3,7 @@
 use failtypes::{Category, ComponentClass, Domain, FailureLog, SoftwareLocus};
 use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::StreamView;
 
 /// One row of a category breakdown: a category, its count, and its share
 /// of all failures.
@@ -39,9 +39,9 @@ pub struct CategoryBreakdown {
 }
 
 impl CategoryBreakdown {
-    /// Computes the breakdown from any [`FleetIndex`], reusing its
+    /// Computes the breakdown from a [`StreamView`], reusing its
     /// category partitions; rows are sorted by descending count.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let total = index.len();
         let mut shares: Vec<CategoryShare> = index
             .category_indices()
@@ -59,13 +59,7 @@ impl CategoryBreakdown {
     /// Computes the breakdown, indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the breakdown from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// Rows sorted by descending count.
@@ -127,9 +121,9 @@ pub struct ClassBreakdown {
 }
 
 impl ClassBreakdown {
-    /// Computes the breakdown from any [`FleetIndex`]; every class
+    /// Computes the breakdown from a [`StreamView`]; every class
     /// appears (possibly with zero).
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let mut counts: Vec<(ComponentClass, usize)> =
             ComponentClass::ALL.iter().map(|&c| (c, 0)).collect();
         for (category, indices) in index.category_indices() {
@@ -147,13 +141,7 @@ impl ClassBreakdown {
     /// Computes the breakdown, indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the breakdown from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// `(class, count)` rows in the canonical class order.
@@ -192,8 +180,8 @@ pub struct DomainBreakdown {
 }
 
 impl DomainBreakdown {
-    /// Computes the split from any [`FleetIndex`].
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    /// Computes the split from a [`StreamView`].
+    pub fn from_index(index: &StreamView) -> Self {
         let mut out = DomainBreakdown {
             hardware: 0,
             software: 0,
@@ -212,13 +200,7 @@ impl DomainBreakdown {
     /// Computes the split, indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the split from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// Total failures.
@@ -251,9 +233,9 @@ pub struct LocusBreakdown {
 }
 
 impl LocusBreakdown {
-    /// Computes the breakdown from any [`FleetIndex`] over records that
+    /// Computes the breakdown from a [`StreamView`] over records that
     /// carry a root locus, sorted by descending count.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let total: usize = index.locus_counts().values().sum();
         let mut shares: Vec<LocusShare> = index
             .locus_counts()
@@ -271,13 +253,7 @@ impl LocusBreakdown {
     /// Computes the breakdown, indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the breakdown from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// Rows sorted by descending count.

@@ -29,7 +29,8 @@
 //!
 //! let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
 //!
-//! let view = failscope::LogView::new(&log);
+//! // Index the log once (moving its records in), then run any analysis.
+//! let view = failscope::StreamView::from_log(log, None);
 //! let cats = CategoryBreakdown::from_index(&view);
 //! assert!(cats.shares()[0].fraction > 0.5); // software dominates
 //!
@@ -43,8 +44,6 @@
 
 mod availability;
 mod categories;
-mod index;
-mod logview;
 mod multigpu;
 mod rates;
 mod survival;
@@ -61,8 +60,6 @@ pub use availability::AvailabilityAnalysis;
 pub use categories::{
     CategoryBreakdown, CategoryShare, ClassBreakdown, DomainBreakdown, LocusBreakdown, LocusShare,
 };
-pub use index::FleetIndex;
-pub use logview::LogView;
 pub use rates::{laplace_trend, rolling_rate, LaplaceTrend, RateBin};
 pub use survival::{node_lifetimes, node_lifetimes_index, NodeSurvival};
 pub use multigpu::{InvolvementRow, InvolvementTable};
@@ -77,50 +74,20 @@ pub use seasonal::{MonthBucket, SeasonalAnalysis};
 pub use spatial::{NodeDistribution, RackDistribution, RackShare, SlotDistribution, SlotShare};
 pub use streamview::{StreamView, StreamViewError, ViewParts};
 pub use tbf::{
-    class_mtbf_hours, class_mtbf_hours_index, class_mtbf_hours_view, gpu_involvement_mtbf_hours,
-    gpu_involvement_mtbf_hours_index, gpu_involvement_mtbf_hours_view, per_category_tbf,
-    per_category_tbf_index, per_category_tbf_view, CategoryTbf, TbfAnalysis,
+    class_mtbf_hours, class_mtbf_hours_index, gpu_involvement_mtbf_hours,
+    gpu_involvement_mtbf_hours_index, per_category_tbf, per_category_tbf_index, CategoryTbf,
+    TbfAnalysis,
 };
 pub use temporal::MultiGpuTemporal;
 pub use ttr::{
     domain_ttr_spread, domain_ttr_spread_index, per_category_ttr, per_category_ttr_index,
-    per_category_ttr_view, rare_but_costly, rare_but_costly_index, CategoryTtr, TtrAnalysis,
+    rare_but_costly, rare_but_costly_index, CategoryTtr, TtrAnalysis,
 };
 
-/// The canonical FleetIndex-era API surface in one import: the index
-/// trait and its two implementations, the section registry, the render
-/// entry points, and every analysis type's `from_index` home.
-///
-/// ```
-/// use failscope::prelude::*;
-/// use failsim::{Simulator, SystemModel};
-///
-/// let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-/// let view = LogView::new(&log);
-/// assert!(TbfAnalysis::from_index(&view).unwrap().mtbf_hours() > 70.0);
-/// ```
-pub mod prelude {
-    pub use crate::availability::AvailabilityAnalysis;
-    pub use crate::categories::{
-        CategoryBreakdown, ClassBreakdown, DomainBreakdown, LocusBreakdown,
-    };
-    pub use crate::index::FleetIndex;
-    pub use crate::logview::LogView;
-    pub use crate::multigpu::InvolvementTable;
-    pub use crate::pep::{Pep, PepComparison};
-    pub use crate::report::{
-        render_json_sections, render_report, render_report_json, render_report_threaded,
-        render_text_sections, section_by_id, select_sections, Section, SectionCtx,
-        METRICS_SECTION_ID, SECTIONS,
-    };
-    pub use crate::seasonal::SeasonalAnalysis;
-    pub use crate::spatial::{NodeDistribution, RackDistribution, SlotDistribution};
-    pub use crate::streamview::{StreamView, StreamViewError};
-    pub use crate::survival::NodeSurvival;
-    pub use crate::tbf::{per_category_tbf_index, TbfAnalysis};
-    pub use crate::temporal::MultiGpuTemporal;
-    pub use crate::ttr::{per_category_ttr_index, TtrAnalysis};
-}
+/// The name the frozen benchmark harness (`perfbench/`) builds views
+/// under; it exists only for that harness. Everything else names
+/// [`StreamView`] directly.
+pub type LogView = StreamView;
 
 #[cfg(test)]
 mod tests {

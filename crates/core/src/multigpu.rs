@@ -3,7 +3,7 @@
 use failtypes::FailureLog;
 use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::StreamView;
 
 /// One row of Table III: how many GPU failures involved exactly `gpus`
 /// GPUs.
@@ -40,8 +40,8 @@ pub struct InvolvementTable {
 }
 
 impl InvolvementTable {
-    /// Computes the table from the GPU failures of any [`FleetIndex`].
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    /// Computes the table from the GPU failures of a [`StreamView`].
+    pub fn from_index(index: &StreamView) -> Self {
         let max_gpus = index.spec().gpus_per_node();
         let mut counts = vec![0usize; max_gpus as usize + 1];
         let mut unknown = 0;
@@ -71,13 +71,7 @@ impl InvolvementTable {
     /// [`InvolvementTable::from_index`], indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`InvolvementTable::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// Rows for 1..=gpus-per-node GPUs involved.

@@ -6,7 +6,7 @@ use failtypes::FailureLog;
 use serde::{Deserialize, Serialize};
 
 use crate::tbf::TbfAnalysis;
-use crate::{FleetIndex, LogView};
+use crate::StreamView;
 
 /// The performance-error-proportionality of one system.
 ///
@@ -31,9 +31,9 @@ pub struct Pep {
 }
 
 impl Pep {
-    /// Computes the metric from any [`FleetIndex`]; `None` with fewer
+    /// Computes the metric from a [`StreamView`]; `None` with fewer
     /// than two failures.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         let tbf = TbfAnalysis::from_index(index)?;
         Some(Pep {
             rpeak_pflops: index.spec().rpeak_pflops(),
@@ -44,13 +44,7 @@ impl Pep {
     /// [`Pep::from_index`], indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`Pep::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Option<Self> {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// Maximum useful computation during a mean failure-free period:
@@ -77,14 +71,10 @@ pub struct PepComparison {
 }
 
 impl PepComparison {
-    /// Builds the comparison from two indexes (possibly of different
-    /// concrete types — e.g. a batch [`LogView`] against a live
-    /// [`crate::StreamView`]); `None` when either side is too small.
-    pub fn from_indexes<A, B>(older: &A, newer: &B) -> Option<Self>
-    where
-        A: FleetIndex + ?Sized,
-        B: FleetIndex + ?Sized,
-    {
+    /// Builds the comparison from two indexed views (a batch build and
+    /// a live stream compare alike); `None` when either side is too
+    /// small.
+    pub fn from_indexes(older: &StreamView, newer: &StreamView) -> Option<Self> {
         Some(PepComparison {
             older: Pep::from_index(older)?,
             newer: Pep::from_index(newer)?,
@@ -94,7 +84,7 @@ impl PepComparison {
     /// [`PepComparison::from_indexes`], indexing both logs once; `None`
     /// when either log is too small.
     pub fn new(older: &FailureLog, newer: &FailureLog) -> Option<Self> {
-        Self::from_indexes(&LogView::new(older), &LogView::new(newer))
+        Self::from_indexes(&StreamView::new(older), &StreamView::new(newer))
     }
 
     /// Compute-capability ratio (newer / older) by Rpeak.

@@ -1,7 +1,7 @@
 //! Operator-facing reports assembled from a typed section registry.
 //!
 //! The report is a fixed sequence of independent [`Section`]s, each a
-//! pure function of a shared [`FleetIndex`] with **two** renderers: the
+//! pure function of a shared [`StreamView`] with **two** renderers: the
 //! operator text block and a structured [`JsonValue`] with a stable
 //! schema (documented per section in `DESIGN.md`). The registry is the
 //! single source of truth — `failctl report`, `failctl compare`, the
@@ -21,44 +21,43 @@ use failtypes::{FailureLog, JsonValue};
 
 use crate::availability::AvailabilityAnalysis;
 use crate::categories::{CategoryBreakdown, LocusBreakdown};
-use crate::index::FleetIndex;
-use crate::logview::LogView;
 use crate::multigpu::InvolvementTable;
 use crate::pep::PepComparison;
 use crate::seasonal::SeasonalAnalysis;
 use crate::spatial::{NodeDistribution, RackDistribution, SlotDistribution};
+use crate::streamview::StreamView;
 use crate::survival::NodeSurvival;
 use crate::tbf::{per_category_tbf_index, TbfAnalysis};
 use crate::temporal::MultiGpuTemporal;
 use crate::ttr::{per_category_ttr_index, TtrAnalysis};
 
-/// Shared context handed to every section renderer: the fleet index the
-/// section reports on, plus an optional [`Collector`] whose contents the
+/// Shared context handed to every section renderer: the indexed view
+/// the section reports on, plus an optional [`Collector`] whose contents the
 /// [`METRICS_SECTION_ID`] section surfaces.
 #[derive(Clone, Copy)]
 pub struct SectionCtx<'a> {
-    index: &'a (dyn FleetIndex + Sync),
+    index: &'a StreamView,
     trace: Option<&'a Collector>,
 }
 
 impl<'a> SectionCtx<'a> {
     /// A context over `index` with no trace collector: the `metrics`
     /// section renders empty.
-    pub fn new(index: &'a (dyn FleetIndex + Sync)) -> Self {
+    pub fn new(index: &'a StreamView) -> Self {
         SectionCtx { index, trace: None }
     }
 
     /// A context over `index` that also records section-render spans
     /// into `trace` and surfaces it through the `metrics` section.
-    pub fn with_trace(index: &'a (dyn FleetIndex + Sync), trace: &'a Collector) -> Self {
+    pub fn with_trace(index: &'a StreamView, trace: &'a Collector) -> Self {
         SectionCtx {
             index,
             trace: Some(trace),
         }
     }
 
-    /// The fleet index the sections report on.
-    pub fn index(&self) -> &'a dyn FleetIndex {
+    /// The indexed view the sections report on.
+    pub fn index(&self) -> &'a StreamView {
         self.index
     }
 
@@ -872,7 +871,7 @@ pub fn render_report(log: &FailureLog) -> String {
 /// workers. The sections are concatenated in declaration order, so the
 /// output is byte-identical to the serial render at any thread count.
 pub fn render_report_threaded(log: &FailureLog, threads: usize) -> String {
-    let view = LogView::new(log);
+    let view = StreamView::new(log);
     render_text_sections(&all_sections(), &SectionCtx::new(&view), threads)
 }
 
@@ -890,26 +889,25 @@ pub fn render_report_threaded(log: &FailureLog, threads: usize) -> String {
 /// assert!(ndjson.starts_with(r#"{"id":"header""#));
 /// ```
 pub fn render_report_json(log: &FailureLog, threads: usize) -> String {
-    let view = LogView::new(log);
+    let view = StreamView::new(log);
     render_json_sections(&all_sections(), &SectionCtx::new(&view), threads)
 }
 
 /// Renders the two-generation comparison (MTBF/MTTR factors and the
 /// performance-error-proportionality argument).
 pub fn render_comparison(older: &FailureLog, newer: &FailureLog) -> String {
-    render_comparison_threaded(older, newer, 1)
+    render_comparison_threaded(&StreamView::new(older), &StreamView::new(newer), 1)
 }
 
-/// [`render_comparison`] with the per-log analyses computed on up to
-/// `threads` workers; output is identical at any thread count.
+/// [`render_comparison`] over two indexed views, with the per-view
+/// analyses computed on up to `threads` workers; output is identical at
+/// any thread count.
 pub fn render_comparison_threaded(
-    older: &FailureLog,
-    newer: &FailureLog,
+    older: &StreamView,
+    newer: &StreamView,
     threads: usize,
 ) -> String {
-    let older_view = LogView::new(older);
-    let newer_view = LogView::new(newer);
-    let views = [&older_view, &newer_view];
+    let views = [older, newer];
     let ttrs = failstats::par_map_ordered(2, threads, |i| TtrAnalysis::from_index(views[i]));
 
     let mut out = String::new();
@@ -919,7 +917,7 @@ pub fn render_comparison_threaded(
         older.spec().name(),
         newer.spec().name()
     );
-    if let Some(c) = PepComparison::from_indexes(&older_view, &newer_view) {
+    if let Some(c) = PepComparison::from_indexes(older, newer) {
         let _ = writeln!(out, "  compute (Rpeak): {:>6.2}x", c.compute_factor());
         let _ = writeln!(out, "  MTBF:            {:>6.2}x", c.mtbf_factor());
         let _ = writeln!(
@@ -950,13 +948,11 @@ pub fn render_comparison_threaded(
 /// The comparison as one structured JSON document (`"pep"` and
 /// `"mttr_hours"` are `null` when the underlying analysis is undefined
 /// for the pair).
-pub fn comparison_json(older: &FailureLog, newer: &FailureLog, threads: usize) -> JsonValue {
-    let older_view = LogView::new(older);
-    let newer_view = LogView::new(newer);
-    let views = [&older_view, &newer_view];
+pub fn comparison_json(older: &StreamView, newer: &StreamView, threads: usize) -> JsonValue {
+    let views = [older, newer];
     let ttrs = failstats::par_map_ordered(2, threads, |i| TtrAnalysis::from_index(views[i]));
 
-    let pep = PepComparison::from_indexes(&older_view, &newer_view).map_or(
+    let pep = PepComparison::from_indexes(older, newer).map_or(
         JsonValue::Null,
         |c| {
             JsonValue::object()
@@ -993,7 +989,7 @@ pub fn comparison_json(older: &FailureLog, newer: &FailureLog, threads: usize) -
 
 /// [`comparison_json`], rendered as a single newline-terminated JSON
 /// line — the `failctl compare --format json` output.
-pub fn render_comparison_json(older: &FailureLog, newer: &FailureLog, threads: usize) -> String {
+pub fn render_comparison_json(older: &StreamView, newer: &StreamView, threads: usize) -> String {
     let mut line = comparison_json(older, newer, threads).render();
     line.push('\n');
     line
@@ -1002,7 +998,6 @@ pub fn render_comparison_json(older: &FailureLog, newer: &FailureLog, threads: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streamview::StreamView;
     use failsim::{Simulator, SystemModel};
 
     fn t3() -> FailureLog {
@@ -1080,7 +1075,7 @@ mod tests {
     #[test]
     fn selected_sections_render_just_those() {
         let log = t3();
-        let view = LogView::new(&log);
+        let view = StreamView::new(&log);
         let picked = select_sections("header,tbf").expect("valid ids");
         let ctx = SectionCtx::new(&view);
         let text = render_text_sections(&picked, &ctx, 2);
@@ -1094,7 +1089,7 @@ mod tests {
     #[test]
     fn sections_agree_between_batch_and_stream_views() {
         let log = t3();
-        let view = LogView::new(&log);
+        let view = StreamView::new(&log);
         let mut sv = StreamView::for_log(&log);
         for rec in log.iter() {
             sv.push(rec.clone()).unwrap();
@@ -1125,10 +1120,11 @@ mod tests {
         assert!(text.contains("compute (Rpeak)"));
         assert!(text.contains("MTTR"));
         assert!(text.contains("reliability improved more slowly"));
-        assert_eq!(text, render_comparison_threaded(&t2, &t3, 4));
+        let (v2, v3) = (StreamView::new(&t2), StreamView::new(&t3));
+        assert_eq!(text, render_comparison_threaded(&v2, &v3, 4));
 
-        let json = render_comparison_json(&t2, &t3, 1);
-        assert_eq!(json, render_comparison_json(&t2, &t3, 4));
+        let json = render_comparison_json(&v2, &v3, 1);
+        assert_eq!(json, render_comparison_json(&v2, &v3, 4));
         assert!(json.contains(r#""pep":{"compute_factor":"#), "{json}");
         assert!(json.ends_with("}\n"));
     }

@@ -5,7 +5,7 @@ use failstats::Summary;
 use failtypes::{FailureLog, Month};
 use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::StreamView;
 
 /// One calendar month's failures in one year.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,7 +30,7 @@ impl SeasonalAnalysis {
     /// Buckets every failure by the `(year, month)` it occurred in,
     /// reusing the index's month-bucketed repair durations; all months
     /// the window touches appear, including failure-free ones.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let months = index.window().months();
         let buckets = months
             .into_iter()
@@ -48,13 +48,7 @@ impl SeasonalAnalysis {
     /// [`SeasonalAnalysis::from_index`], indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`SeasonalAnalysis::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// The chronological `(year, month)` buckets.

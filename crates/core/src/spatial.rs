@@ -5,7 +5,7 @@ use failstats::{chi_square_gof, ChiSquareTest, CountHistogram};
 use failtypes::{Domain, FailureLog, GpuSlot, RackId};
 use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::StreamView;
 
 /// Per-node failure-count distribution (Fig. 4).
 ///
@@ -32,9 +32,9 @@ pub struct NodeDistribution {
 }
 
 impl NodeDistribution {
-    /// Computes the distribution from any [`FleetIndex`], reusing its
+    /// Computes the distribution from a [`StreamView`], reusing its
     /// per-node counts.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let counts = index.node_counts();
         let histogram: CountHistogram = counts.values().copied().collect();
         let mut multi_node_hardware = 0;
@@ -60,13 +60,7 @@ impl NodeDistribution {
     /// Computes the distribution, indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the distribution from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// Fraction of failing nodes with exactly `k` failures.
@@ -134,9 +128,9 @@ pub struct SlotDistribution {
 }
 
 impl SlotDistribution {
-    /// Computes the distribution from any [`FleetIndex`], reusing its
+    /// Computes the distribution from a [`StreamView`], reusing its
     /// per-slot counts.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let counts = index.slot_counts();
         let slots = counts.len();
         let total: usize = counts.iter().sum();
@@ -160,13 +154,7 @@ impl SlotDistribution {
     /// Computes the distribution, indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the distribution from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// Per-slot rows in slot order.
@@ -212,10 +200,10 @@ pub struct RackDistribution {
 }
 
 impl RackDistribution {
-    /// Computes the distribution from any [`FleetIndex`], reusing its
+    /// Computes the distribution from a [`StreamView`], reusing its
     /// per-rack counts (every rack appears, including failure-free
     /// ones).
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let spec = index.spec();
         let shares = index
             .rack_counts()
@@ -236,13 +224,7 @@ impl RackDistribution {
     /// Counts failures per rack, indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the distribution from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// Per-rack rows in rack order.

@@ -1,14 +1,22 @@
-//! An incrementally built counterpart to [`LogView`](crate::LogView).
+//! The indexed view every analysis in this crate reads.
 //!
-//! [`StreamView`] maintains the same indexes a [`crate::LogView`] builds
-//! in one batch pass — time-ordered times, sorted repair durations,
-//! category partitions, node/slot/rack counts, month buckets — but
-//! accepts records **one at a time** (or in whole chunks via
-//! [`StreamView::extend`]) as a live stream delivers them. After pushing
-//! every record of a log in time order, each index is equal to the
-//! batch one (the streaming equivalence suite in `tests/` asserts this
-//! per model/seed), so online consumers such as `failwatch` inherit the
-//! batch pipeline's semantics for free.
+//! Every DSN'21 figure starts from the same raw material: the
+//! time-ordered records, their per-category partitions, per-node,
+//! per-slot and per-rack tallies, month buckets, and the sorted repair
+//! and recovery samples. [`StreamView`] holds exactly those indexes and
+//! is built one of two ways:
+//!
+//! * **in one batch pass** over a finished log —
+//!   [`StreamView::from_log`] moves the log's records in and sorts each
+//!   order statistic once; or
+//! * **incrementally**, one record at a time ([`StreamView::push`]) or
+//!   in whole chunks ([`StreamView::extend`]) as a live stream delivers
+//!   them.
+//!
+//! Both paths produce equal views (`from_log` asserts it in debug
+//! builds, and the equivalence suites in `tests/` check it per
+//! model/seed), so the batch report, the warm snapshot path and online
+//! consumers such as `failwatch` all share one set of semantics.
 //!
 //! # Cost model
 //!
@@ -27,8 +35,7 @@
 //!   share (amortized O(log n) per record all in); or
 //! * a reader actually asks for the materialized array
 //!   ([`StreamView::ttrs_sorted`] and friends, including every
-//!   [`FleetIndex`](crate::FleetIndex) consumer), in which case the
-//!   read pays one bounded merge — O(run + tail) — whose result is
+//!   analysis), in which case the read pays one bounded merge — O(run + tail) — whose result is
 //!   cached until the next write, so summary refreshes between ingest
 //!   bursts cost one merge, not one per access.
 //!
@@ -42,6 +49,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
 
+use failtrace::Collector;
 use failtypes::{
     Category, FailureLog, FailureRecord, Generation, InvalidRecordError, Month, NodeId,
     ObservationWindow, SoftwareLocus, SystemSpec,
@@ -133,7 +141,7 @@ impl PartialEq for SortedRun {
 
 impl SortedRun {
     /// Wraps an already-sorted vector as the main run (no tail, no
-    /// cache) — the zero-copy path for loading persisted order
+    /// cache) — the zero-copy path for persisted or batch-sorted order
     /// statistics. The caller guarantees ascending order.
     fn from_sorted(run: Vec<f64>) -> Self {
         debug_assert!(run.windows(2).all(|w| w[0] <= w[1]));
@@ -230,22 +238,22 @@ impl SortedRun {
     }
 }
 
-/// Incrementally maintained indexes over a record stream, mirroring
-/// [`crate::LogView`] field for field.
+/// Shared indexes over one fleet's failure history: time order,
+/// category partitions, count maps, month buckets, and pre-sorted
+/// repair and recovery durations.
 ///
 /// # Examples
 ///
 /// ```
-/// use failscope::{LogView, StreamView};
+/// use failscope::{StreamView, TtrAnalysis};
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-/// let mut sv = StreamView::for_log(&log);
-/// sv.extend(log.records().to_vec()).unwrap();
-/// let bv = LogView::new(&log);
-/// assert_eq!(sv.times(), bv.times());
-/// assert_eq!(sv.ttrs_sorted(), bv.ttrs_sorted());
-/// assert_eq!(sv.month_ttrs(), bv.month_ttrs());
+/// let mut live = StreamView::for_log(&log);
+/// live.extend(log.records().to_vec()).unwrap();
+/// let batch = StreamView::from_log(log, None);
+/// assert_eq!(live, batch);
+/// assert_eq!(TtrAnalysis::from_index(&live), TtrAnalysis::from_index(&batch));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamView {
@@ -314,7 +322,7 @@ pub struct ViewParts {
 
 impl StreamView {
     /// An empty view for a system described by `spec` over `window`.
-    pub fn new(generation: Generation, spec: SystemSpec, window: ObservationWindow) -> Self {
+    pub fn empty(generation: Generation, spec: SystemSpec, window: ObservationWindow) -> Self {
         let months = window.months();
         let slots = spec.gpus_per_node() as usize;
         let racks = spec.racks() as usize;
@@ -342,7 +350,64 @@ impl StreamView {
 
     /// An empty view shaped like `log` (same generation, spec, window).
     pub fn for_log(log: &FailureLog) -> Self {
-        StreamView::new(log.generation(), log.spec().clone(), log.window())
+        StreamView::empty(log.generation(), log.spec().clone(), log.window())
+    }
+
+    /// Indexes a copy of `log`: [`StreamView::from_log`] for callers
+    /// that keep the log.
+    pub fn new(log: &FailureLog) -> Self {
+        StreamView::from_log(log.clone(), None)
+    }
+
+    /// Indexes a finished log in one batch pass, taking ownership of
+    /// its records (no copy). The records are not re-validated — the
+    /// [`FailureLog`] already did — and each sorted array is built with
+    /// one sort. The result equals pushing every record in order; debug
+    /// builds assert exactly that.
+    ///
+    /// With a collector, records the [`StreamView::traced`] instruments.
+    pub fn from_log(log: FailureLog, trace: Option<&Collector>) -> Self {
+        StreamView::traced(trace, || {
+            let mut view = StreamView::for_log(&log);
+            let records = log.into_records();
+            let n = records.len();
+            view.times.reserve_exact(n);
+            view.recoveries.reserve_exact(n);
+            let mut ttrs = Vec::with_capacity(n);
+            for rec in &records {
+                ttrs.push(view.index(rec).0);
+            }
+            view.records = records;
+            ttrs.sort_unstable_by(f64::total_cmp);
+            let mut recoveries = view.recoveries.clone();
+            recoveries.sort_unstable_by(f64::total_cmp);
+            view.ttrs_sorted = SortedRun::from_sorted(ttrs);
+            view.recoveries_sorted = SortedRun::from_sorted(recoveries);
+            #[cfg(debug_assertions)]
+            debug_assert!(
+                view.rebuilt().is_ok_and(|rebuilt| rebuilt == view),
+                "from_log diverged from a per-record rebuild"
+            );
+            view
+        })
+    }
+
+    /// Runs a view build under an `index.logview` span (items = the
+    /// built view's records), then observes every repair duration of
+    /// the result into the `index.ttr_hours` histogram. Without a
+    /// collector it just runs `build`.
+    pub fn traced(trace: Option<&Collector>, build: impl FnOnce() -> StreamView) -> StreamView {
+        let Some(trace) = trace else {
+            return build();
+        };
+        let mut span = trace.span("index.logview");
+        let view = build();
+        span.add_items(view.len() as u64);
+        drop(span);
+        for &ttr in view.ttrs_sorted() {
+            trace.observe_hours("index.ttr_hours", ttr);
+        }
+        view
     }
 
     /// Decomposes the view into the persistable [`ViewParts`] payload,
@@ -471,19 +536,25 @@ impl StreamView {
         };
         #[cfg(debug_assertions)]
         {
-            let mut rebuilt =
-                StreamView::new(view.generation, view.spec.clone(), view.window);
-            for rec in view.records.iter().cloned() {
-                rebuilt
-                    .push(rec)
-                    .map_err(|e| shape_err(&format!("records do not revalidate: {e}")))?;
-            }
+            let rebuilt = view
+                .rebuilt()
+                .map_err(|e| shape_err(&format!("records do not revalidate: {e}")))?;
             debug_assert!(
                 rebuilt == view,
                 "from_parts diverged from a per-record rebuild"
             );
         }
         Ok(view)
+    }
+
+    /// The view a per-record `push` of this view's records builds — the
+    /// oracle the batch constructors are checked against in debug
+    /// builds.
+    #[cfg(debug_assertions)]
+    fn rebuilt(&self) -> Result<StreamView, StreamViewError> {
+        let mut rebuilt = StreamView::empty(self.generation, self.spec.clone(), self.window);
+        rebuilt.extend(self.records.iter().cloned())?;
+        Ok(rebuilt)
     }
 
     /// Validates and incorporates one record, updating every index.
@@ -505,14 +576,25 @@ impl StreamView {
             }
         }
 
-        let i = self.records.len() as u32;
-        let ttr = rec.ttr().get();
-        let window_hours = self.window.duration().get();
-        self.times.push(time);
+        let (ttr, recovery) = self.index(&rec);
         self.ttrs_sorted.push(ttr);
-        let recovery = rec.recovery_time().get().min(window_hours);
-        self.recoveries.push(recovery);
         self.recoveries_sorted.push(recovery);
+        self.records.push(rec);
+        Ok(())
+    }
+
+    /// Files one in-order record into every index except `records` and
+    /// the two sorted runs, and returns its repair duration and clamped
+    /// recovery time; the caller stores the record and feeds the sorted
+    /// runs (per record for [`StreamView::push`], in one sort for
+    /// [`StreamView::from_log`]).
+    fn index(&mut self, rec: &FailureRecord) -> (f64, f64) {
+        let i = self.times.len() as u32;
+        let time = rec.time().get();
+        let ttr = rec.ttr().get();
+        let recovery = rec.recovery_time().get().min(self.window.duration().get());
+        self.times.push(time);
+        self.recoveries.push(recovery);
         self.category_indices
             .entry(rec.category())
             .or_default()
@@ -540,8 +622,7 @@ impl StreamView {
             self.month_cursor += off;
             self.month_ttrs[self.month_cursor].push(ttr);
         }
-        self.records.push(rec);
-        Ok(())
+        (ttr, recovery)
     }
 
     /// Validates and incorporates a whole chunk of records in time
@@ -603,7 +684,7 @@ impl StreamView {
     /// record order — and therefore any report rendered from it — is
     /// byte-identical to a cold filtered parse of the same log.
     pub fn filtered(&self, mut keep: impl FnMut(&FailureRecord) -> bool) -> StreamView {
-        let mut out = StreamView::new(self.generation, self.spec.clone(), self.window);
+        let mut out = StreamView::empty(self.generation, self.spec.clone(), self.window);
         for rec in &self.records {
             if keep(rec) {
                 out.push(rec.clone()).expect("subset of a valid view is valid");
@@ -738,7 +819,6 @@ impl StreamView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LogView;
     use failsim::{Simulator, SystemModel};
     use failtypes::Hours;
 
@@ -748,20 +828,8 @@ mod tests {
         sv
     }
 
-    fn assert_matches_batch(sv: &StreamView, bv: &LogView) {
-        assert_eq!(sv.len(), bv.len());
-        assert_eq!(sv.times(), bv.times());
-        assert_eq!(sv.ttrs_sorted(), bv.ttrs_sorted());
-        assert_eq!(sv.recoveries(), bv.recoveries());
-        assert_eq!(sv.recoveries_sorted(), bv.recoveries_sorted());
-        assert_eq!(sv.category_indices(), bv.category_indices());
-        assert_eq!(sv.locus_counts(), bv.locus_counts());
-        assert_eq!(sv.node_counts(), bv.node_counts());
-        assert_eq!(sv.slot_counts(), bv.slot_counts());
-        assert_eq!(sv.rack_counts(), bv.rack_counts());
-        assert_eq!(sv.gpu_involvements(), bv.gpu_involvements());
-        assert_eq!(sv.multi_gpu_times(), bv.multi_gpu_times());
-        assert_eq!(sv.month_ttrs(), bv.month_ttrs());
+    fn t2() -> FailureLog {
+        Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap()
     }
 
     #[test]
@@ -776,30 +844,76 @@ mod tests {
             .extend(log.records().iter().filter(|r| keep(r)).cloned())
             .unwrap();
         assert!(!filtered.is_empty() && filtered.len() < full.len());
-        assert_eq!(filtered.records(), oracle.records());
-        let (mut filtered, mut oracle) = (filtered, oracle);
-        filtered.materialize();
-        oracle.materialize();
+        assert_eq!(filtered, oracle);
         assert_eq!(filtered.to_log(), oracle.to_log());
-        assert_eq!(filtered.ttrs_sorted(), oracle.ttrs_sorted());
-        assert_eq!(filtered.category_indices(), oracle.category_indices());
-        assert_eq!(filtered.month_ttrs(), oracle.month_ttrs());
-        // And against the batch view of the equivalently filtered log.
-        let sub = faillog::from_str(&faillog::to_string(&filtered.to_log()).unwrap()).unwrap();
-        assert_matches_batch(&filtered, &LogView::new(&sub));
+        // And the batch build of the equivalently filtered log.
+        assert_eq!(filtered, StreamView::from_log(log.filtered(keep), None));
     }
 
     #[test]
     fn matches_batch_view_on_every_index() {
-        for (model, seed) in [
-            (SystemModel::tsubame2(), 42),
-            (SystemModel::tsubame3(), 43),
-        ] {
+        for (model, seed) in [(SystemModel::tsubame2(), 42), (SystemModel::tsubame3(), 43)] {
             let log = Simulator::new(model, seed).generate().unwrap();
             let sv = feed(&log);
-            let bv = LogView::new(&log);
-            assert_matches_batch(&sv, &bv);
+            let bv = StreamView::from_log(log, None);
+            // Whole-struct equality: every index, the month cursor and
+            // both sorted runs.
+            assert_eq!(sv, bv);
+            assert_eq!(sv.month_cursor, bv.month_cursor);
+            assert_eq!(sv.ttrs_sorted(), bv.ttrs_sorted());
+            assert_eq!(sv.recoveries_sorted(), bv.recoveries_sorted());
         }
+    }
+
+    #[test]
+    fn indexes_are_consistent_with_the_log() {
+        let log = t2();
+        let view = StreamView::new(&log);
+        assert_eq!(view.len(), log.len());
+        assert_eq!(view.times().len(), 897);
+        // Category partitions cover every record exactly once.
+        let total: usize = view.category_indices().values().map(Vec::len).sum();
+        assert_eq!(total, log.len());
+        // Node counts sum to the record count.
+        let nodes: u64 = view.node_counts().values().sum();
+        assert_eq!(nodes as usize, log.len());
+        // Rack counts sum to the record count.
+        assert_eq!(view.rack_counts().iter().sum::<usize>(), log.len());
+        // Month buckets cover every record (the window spans all times).
+        assert_eq!(
+            view.month_ttrs().iter().map(Vec::len).sum::<usize>(),
+            log.len()
+        );
+        // Sorted arrays are sorted and complete.
+        assert_eq!(view.ttrs_sorted().len(), log.len());
+        assert!(view.ttrs_sorted().windows(2).all(|w| w[0] <= w[1]));
+        assert!(view.recoveries_sorted().windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn partitions_preserve_time_order() {
+        let view = StreamView::new(&t2());
+        for indices in view.category_indices().values() {
+            assert!(indices.windows(2).all(|w| w[0] < w[1]));
+        }
+        for times in view
+            .category_indices()
+            .keys()
+            .map(|&c| view.category_times(c))
+        {
+            assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        }
+    }
+
+    #[test]
+    fn empty_log_has_empty_indexes() {
+        let log = t2().filtered(|_| false);
+        let view = StreamView::from_log(log.clone(), None);
+        assert!(view.is_empty());
+        assert!(view.category_indices().is_empty());
+        assert!(view.multi_gpu_times().is_empty());
+        assert_eq!(view.gpu_involvements(), 0);
+        assert_eq!(view, StreamView::for_log(&log));
     }
 
     #[test]
@@ -842,14 +956,14 @@ mod tests {
         }
         let per_record = feed(&log);
         assert_eq!(chunked, per_record);
-        assert_matches_batch(&chunked, &LogView::new(&log));
+        assert_eq!(chunked, StreamView::from_log(log, None));
     }
 
     #[test]
     fn reads_between_writes_stay_consistent() {
         // Alternating reads and writes exercises the lazy merge cache
         // and its promotion; every intermediate read must equal the
-        // batch view over the same prefix.
+        // batch build of the same prefix.
         let log = Simulator::new(SystemModel::tsubame3(), 7).generate().unwrap();
         let mut sv = StreamView::for_log(&log);
         for (i, rec) in log.records().iter().enumerate() {
@@ -861,7 +975,9 @@ mod tests {
                     log.records()[..=i].to_vec(),
                 )
                 .unwrap();
-                assert_eq!(sv.ttrs_sorted(), LogView::new(&prefix).ttrs_sorted());
+                let batch = StreamView::from_log(prefix, None);
+                assert_eq!(sv.ttrs_sorted(), batch.ttrs_sorted());
+                assert_eq!(sv, batch);
             }
         }
     }
@@ -909,7 +1025,7 @@ mod tests {
             assert_eq!(parts.month_counts.iter().sum::<usize>(), log.len());
             let restored = StreamView::from_parts(parts).unwrap();
             assert_eq!(restored, sv);
-            assert_matches_batch(&restored, &LogView::new(&log));
+            assert_eq!(restored, StreamView::from_log(log, None));
         }
     }
 

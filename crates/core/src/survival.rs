@@ -12,16 +12,16 @@ use failstats::{KaplanMeier, Lifetime};
 use failtypes::{FailureLog, NodeId};
 use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::StreamView;
 
-/// Extracts the per-node time-to-first-failure lifetimes of any
-/// [`FleetIndex`] (one per node; censored at the window end for nodes
+/// Extracts the per-node time-to-first-failure lifetimes of a
+/// [`StreamView`] (one per node; censored at the window end for nodes
 /// that never failed) — the input both [`NodeSurvival`] and cross-system
 /// comparisons via [`failstats::log_rank`] consume.
 ///
 /// Records are time-sorted, so the first occurrence of a node in the
 /// record sequence is its first failure.
-pub fn node_lifetimes_index<V: FleetIndex + ?Sized>(index: &V) -> Vec<Lifetime> {
+pub fn node_lifetimes_index(index: &StreamView) -> Vec<Lifetime> {
     let horizon = index.window().duration().get();
     let mut first: BTreeMap<NodeId, f64> = BTreeMap::new();
     for rec in index.records() {
@@ -36,7 +36,7 @@ pub fn node_lifetimes_index<V: FleetIndex + ?Sized>(index: &V) -> Vec<Lifetime> 
 
 /// [`node_lifetimes_index`], indexing the log once.
 pub fn node_lifetimes(log: &FailureLog) -> Vec<Lifetime> {
-    node_lifetimes_index(&LogView::new(log))
+    node_lifetimes_index(&StreamView::new(log))
 }
 
 /// Kaplan–Meier analysis of node time-to-first-failure.
@@ -48,13 +48,13 @@ pub struct NodeSurvival {
 }
 
 impl NodeSurvival {
-    /// Fits the estimator from any [`FleetIndex`]: every node
+    /// Fits the estimator from a [`StreamView`]: every node
     /// contributes one lifetime — the offset of its first failure, or a
     /// censored observation at the window end if it never failed.
     ///
     /// Returns `None` for systems with zero nodes (impossible for
     /// validated logs).
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         let lifetimes = node_lifetimes_index(index);
         let observed = lifetimes.iter().filter(|l| l.observed).count();
         Some(NodeSurvival {
@@ -67,13 +67,7 @@ impl NodeSurvival {
     /// [`NodeSurvival::from_index`], indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`NodeSurvival::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Option<Self> {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// The fitted Kaplan–Meier curve.

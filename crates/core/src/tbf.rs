@@ -4,7 +4,7 @@ use failstats::{Ecdf, Summary};
 use failtypes::{Category, ComponentClass, FailureLog};
 use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::StreamView;
 
 /// System-wide time-between-failures analysis (Fig. 6).
 ///
@@ -29,10 +29,10 @@ pub struct TbfAnalysis {
 }
 
 impl TbfAnalysis {
-    /// Computes the analysis from any [`FleetIndex`], reusing its time
+    /// Computes the analysis from a [`StreamView`], reusing its time
     /// array; `None` for logs with fewer than two failures (no
     /// inter-arrival times exist).
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         let gaps = failstats::inter_arrival_times(index.times());
         let ecdf = Ecdf::new(gaps)?;
         let window_hours = index.window().duration().get();
@@ -48,13 +48,7 @@ impl TbfAnalysis {
     /// Computes the analysis, indexing the log once.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the analysis from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Option<Self> {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// MTBF as the paper computes it: window length / failure count.
@@ -113,16 +107,13 @@ impl TbfAnalysis {
     }
 }
 
-/// Per-component-class MTBF from any [`FleetIndex`], counting failure
+/// Per-component-class MTBF from a [`StreamView`], counting failure
 /// *events* of that class (window / event count). Returns `None` when
 /// the class never failed.
 ///
 /// The paper's per-class numbers: GPU MTBF improved ~10× from Tsubame-2
 /// to Tsubame-3 while the GPU count only halved; CPU MTBF improved ~3×.
-pub fn class_mtbf_hours_index<V: FleetIndex + ?Sized>(
-    index: &V,
-    class: ComponentClass,
-) -> Option<f64> {
+pub fn class_mtbf_hours_index(index: &StreamView, class: ComponentClass) -> Option<f64> {
     let count: usize = index
         .category_indices()
         .iter()
@@ -134,30 +125,20 @@ pub fn class_mtbf_hours_index<V: FleetIndex + ?Sized>(
 
 /// [`class_mtbf_hours_index`], indexing the log once.
 pub fn class_mtbf_hours(log: &FailureLog, class: ComponentClass) -> Option<f64> {
-    class_mtbf_hours_index(&LogView::new(log), class)
+    class_mtbf_hours_index(&StreamView::new(log), class)
 }
 
-/// [`class_mtbf_hours_index`] on a prebuilt [`LogView`].
-pub fn class_mtbf_hours_view(view: &LogView<'_>, class: ComponentClass) -> Option<f64> {
-    class_mtbf_hours_index(view, class)
-}
-
-/// GPU MTBF from any [`FleetIndex`], counting each involved GPU
+/// GPU MTBF from a [`StreamView`], counting each involved GPU
 /// separately (a failure touching 3 GPUs counts three times; unknown
 /// involvement counts once). Returns `None` when no GPU failures exist.
-pub fn gpu_involvement_mtbf_hours_index<V: FleetIndex + ?Sized>(index: &V) -> Option<f64> {
+pub fn gpu_involvement_mtbf_hours_index(index: &StreamView) -> Option<f64> {
     let count = index.gpu_involvements();
     (count > 0).then(|| index.window().duration().get() / count as f64)
 }
 
 /// [`gpu_involvement_mtbf_hours_index`], indexing the log once.
 pub fn gpu_involvement_mtbf_hours(log: &FailureLog) -> Option<f64> {
-    gpu_involvement_mtbf_hours_index(&LogView::new(log))
-}
-
-/// [`gpu_involvement_mtbf_hours_index`] on a prebuilt [`LogView`].
-pub fn gpu_involvement_mtbf_hours_view(view: &LogView<'_>) -> Option<f64> {
-    gpu_involvement_mtbf_hours_index(view)
+    gpu_involvement_mtbf_hours_index(&StreamView::new(log))
 }
 
 /// One row of the per-category TBF table (Fig. 7).
@@ -170,16 +151,13 @@ pub struct CategoryTbf {
     pub summary: Summary,
 }
 
-/// Per-category TBF distributions from any [`FleetIndex`], reusing its
+/// Per-category TBF distributions from a [`StreamView`], reusing its
 /// time-ordered category partitions; rows are sorted by ascending mean
 /// TBF (the order Fig. 7 plots).
 ///
 /// Categories with fewer than `min_events` failures are skipped — their
 /// inter-arrival statistics would be noise.
-pub fn per_category_tbf_index<V: FleetIndex + ?Sized>(
-    index: &V,
-    min_events: usize,
-) -> Vec<CategoryTbf> {
+pub fn per_category_tbf_index(index: &StreamView, min_events: usize) -> Vec<CategoryTbf> {
     let mut out = Vec::new();
     for (&category, indices) in index.category_indices() {
         if indices.len() < min_events.max(2) {
@@ -202,12 +180,7 @@ pub fn per_category_tbf_index<V: FleetIndex + ?Sized>(
 
 /// [`per_category_tbf_index`], indexing the log once.
 pub fn per_category_tbf(log: &FailureLog, min_events: usize) -> Vec<CategoryTbf> {
-    per_category_tbf_index(&LogView::new(log), min_events)
-}
-
-/// [`per_category_tbf_index`] on a prebuilt [`LogView`].
-pub fn per_category_tbf_view(view: &LogView<'_>, min_events: usize) -> Vec<CategoryTbf> {
-    per_category_tbf_index(view, min_events)
+    per_category_tbf_index(&StreamView::new(log), min_events)
 }
 
 #[cfg(test)]

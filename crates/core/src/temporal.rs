@@ -9,7 +9,7 @@ use failstats::BurstinessReport;
 use failtypes::FailureLog;
 use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::StreamView;
 
 /// Temporal-clustering analysis of multi-GPU failures.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -26,7 +26,7 @@ pub struct MultiGpuTemporal {
 }
 
 impl MultiGpuTemporal {
-    /// Computes the analysis from any [`FleetIndex`] with the given
+    /// Computes the analysis from a [`StreamView`] with the given
     /// follow-up window in hours, reusing the index's multi-GPU arrival
     /// times.
     ///
@@ -36,7 +36,7 @@ impl MultiGpuTemporal {
     /// # Panics
     ///
     /// Panics if `follow_up_hours` is not positive.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V, follow_up_hours: f64) -> Option<Self> {
+    pub fn from_index(index: &StreamView, follow_up_hours: f64) -> Option<Self> {
         Self::from_times(
             index.multi_gpu_times(),
             index.window().duration().get(),
@@ -51,17 +51,7 @@ impl MultiGpuTemporal {
     /// Panics if `follow_up_hours` is not positive.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog, follow_up_hours: f64) -> Option<Self> {
-        Self::from_index(&LogView::new(log), follow_up_hours)
-    }
-
-    /// [`MultiGpuTemporal::from_index`] on a prebuilt [`LogView`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `follow_up_hours` is not positive.
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>, follow_up_hours: f64) -> Option<Self> {
-        Self::from_index(view, follow_up_hours)
+        Self::from_index(&StreamView::new(log), follow_up_hours)
     }
 
     fn from_times(times: &[f64], horizon: f64, follow_up_hours: f64) -> Option<Self> {

@@ -4,7 +4,7 @@ use failstats::{Ecdf, Summary};
 use failtypes::{Category, Domain, FailureLog};
 use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::StreamView;
 
 /// System-wide time-to-recovery analysis (Fig. 9).
 ///
@@ -25,10 +25,10 @@ pub struct TtrAnalysis {
 }
 
 impl TtrAnalysis {
-    /// Computes the analysis from any [`FleetIndex`], reusing its
+    /// Computes the analysis from a [`StreamView`], reusing its
     /// pre-sorted TTR sample instead of re-sorting; `None` when no
     /// failures are indexed.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         Some(TtrAnalysis {
             ecdf: Ecdf::from_sorted(index.ttrs_sorted().to_vec())?,
         })
@@ -38,13 +38,7 @@ impl TtrAnalysis {
     /// empty logs.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`TtrAnalysis::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Option<Self> {
-        Self::from_index(view)
+        Self::from_index(&StreamView::new(log))
     }
 
     /// Mean time to recovery.
@@ -88,11 +82,11 @@ pub struct CategoryTtr {
     pub summary: Summary,
 }
 
-/// Per-category TTR distributions from any [`FleetIndex`], reusing its
+/// Per-category TTR distributions from a [`StreamView`], reusing its
 /// time-ordered category partitions; rows are sorted by ascending mean
 /// TTR (the order Fig. 10 plots). Every category with at least one
 /// failure appears.
-pub fn per_category_ttr_index<V: FleetIndex + ?Sized>(index: &V) -> Vec<CategoryTtr> {
+pub fn per_category_ttr_index(index: &StreamView) -> Vec<CategoryTtr> {
     let total = index.len().max(1) as f64;
     let mut out: Vec<CategoryTtr> = index
         .category_indices()
@@ -117,18 +111,13 @@ pub fn per_category_ttr_index<V: FleetIndex + ?Sized>(index: &V) -> Vec<Category
 
 /// [`per_category_ttr_index`], indexing the log once.
 pub fn per_category_ttr(log: &FailureLog) -> Vec<CategoryTtr> {
-    per_category_ttr_index(&LogView::new(log))
-}
-
-/// [`per_category_ttr_index`] on a prebuilt [`LogView`].
-pub fn per_category_ttr_view(view: &LogView<'_>) -> Vec<CategoryTtr> {
-    per_category_ttr_index(view)
+    per_category_ttr_index(&StreamView::new(log))
 }
 
 /// Count-weighted mean of the per-domain TTR interquartile ranges — a
 /// scalar for Fig. 10's "hardware repairs have a higher spread than
 /// software repairs" claim.
-pub fn domain_ttr_spread_index<V: FleetIndex + ?Sized>(index: &V, domain: Domain) -> Option<f64> {
+pub fn domain_ttr_spread_index(index: &StreamView, domain: Domain) -> Option<f64> {
     let rows = per_category_ttr_index(index);
     let mut weighted = 0.0;
     let mut weight = 0.0;
@@ -144,14 +133,14 @@ pub fn domain_ttr_spread_index<V: FleetIndex + ?Sized>(index: &V, domain: Domain
 
 /// [`domain_ttr_spread_index`], indexing the log once.
 pub fn domain_ttr_spread(log: &FailureLog, domain: Domain) -> Option<f64> {
-    domain_ttr_spread_index(&LogView::new(log), domain)
+    domain_ttr_spread_index(&StreamView::new(log), domain)
 }
 
 /// Categories that are individually rare but expensive to repair:
 /// share of failures below `max_share` and maximum TTR above
 /// `min_max_ttr_hours` (the paper's power-board / SSD examples).
-pub fn rare_but_costly_index<V: FleetIndex + ?Sized>(
-    index: &V,
+pub fn rare_but_costly_index(
+    index: &StreamView,
     max_share: f64,
     min_max_ttr_hours: f64,
 ) -> Vec<CategoryTtr> {
@@ -167,7 +156,7 @@ pub fn rare_but_costly(
     max_share: f64,
     min_max_ttr_hours: f64,
 ) -> Vec<CategoryTtr> {
-    rare_but_costly_index(&LogView::new(log), max_share, min_max_ttr_hours)
+    rare_but_costly_index(&StreamView::new(log), max_share, min_max_ttr_hours)
 }
 
 #[cfg(test)]

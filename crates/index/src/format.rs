@@ -1,6 +1,6 @@
 //! The `.fsidx` on-disk layout: a fixed 44-byte header followed by a
 //! checksummed body that serializes everything a
-//! [`failscope::FleetIndex`] exposes.
+//! [`failscope::StreamView`] indexes.
 //!
 //! All integers are little-endian; `f64`s are stored as IEEE-754 bit
 //! patterns. The layout is documented field-by-field in `DESIGN.md` and
@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use faillog::{crc32, FSIDX_MAGIC};
-use failscope::{FleetIndex, ViewParts};
+use failscope::{StreamView, ViewParts};
 use failtypes::{
     Category, Date, FailureRecord, Generation, GpuSlot, Hours, NodeId, ObservationWindow,
     SoftwareLocus, SystemSpec, T2Category, T3Category,
@@ -160,13 +160,13 @@ fn decode_date(r: &mut ByteReader<'_>) -> Result<Date, String> {
     Date::new(year, month, day).ok_or_else(|| format!("invalid date {year}-{month}-{day}"))
 }
 
-/// Serializes every index surface of `index` into the body byte stream.
+/// Serializes every index of `index` into the body byte stream.
 ///
 /// The category section doubles as the palette for per-record category
 /// bytes: records store an index into it, in `BTreeMap` iteration
 /// order. `f64` arrays (`ttrs_sorted`, `recoveries_sorted`,
 /// `multi_gpu_times`) are stored raw so loading skips re-sorting.
-pub(crate) fn encode_body(index: &dyn FleetIndex) -> Vec<u8> {
+pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     let records = index.records();
     let n = records.len();
     // Rough per-record cost ~40 bytes + two raw f64 arrays.

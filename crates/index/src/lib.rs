@@ -1,11 +1,11 @@
-//! Persistent, checksummed on-disk [`FleetIndex`] snapshots for the
+//! Persistent, checksummed on-disk [`StreamView`] snapshots for the
 //! `failscope` workspace.
 //!
 //! Parsing and indexing a failure log is the dominant cost of every
 //! `failctl report` invocation, yet the log rarely changes between
 //! runs. This crate persists a fully-built index next to the log as
 //! `<log>.fsidx` — a versioned binary snapshot of everything a
-//! [`FleetIndex`] exposes — so subsequent runs skip parsing entirely:
+//! [`StreamView`] indexes — so subsequent runs skip parsing entirely:
 //!
 //! * **Exact match** — the log's raw bytes still hash to the snapshot's
 //!   fingerprint: the snapshot is decoded and served with *zero* record
@@ -26,8 +26,6 @@
 //! # Examples
 //!
 //! ```
-//! use failscope::FleetIndex;
-//!
 //! // Build an index once, snapshot it, and reload without parsing.
 //! let log = failsim::Simulator::new(failsim::SystemModel::tsubame3(), 7)
 //!     .generate()
@@ -39,13 +37,13 @@
 //! let log_path = dir.join("doc.fslog");
 //! std::fs::write(&log_path, &text)?;
 //!
-//! let mut view = failscope::StreamView::for_log(&log);
-//! view.extend(log.records().iter().cloned()).unwrap();
+//! let records = log.len();
+//! let view = failscope::StreamView::from_log(log, None);
 //! let source = failindex::SourceInfo::of_bytes(text.as_bytes());
 //! failindex::save(failindex::snapshot_path(&log_path), &view, source)?;
 //!
 //! match failindex::open_indexed(&log_path, None)? {
-//!     failindex::IndexedLoad::Exact(snap) => assert_eq!(snap.len(), log.len()),
+//!     failindex::IndexedLoad::Exact(snap) => assert_eq!(snap.view().len(), records),
 //!     other => panic!("expected an exact hit, got {other:?}"),
 //! }
 //! # std::fs::remove_dir_all(&dir).ok();
@@ -59,19 +57,15 @@
 mod bytes;
 mod format;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use faillog::{crc32, Compression, Crc32};
-use failscope::{FleetIndex, StreamView};
+use failscope::StreamView;
 use failtrace::Collector;
-use failtypes::{
-    Category, Error, FailureRecord, Generation, NodeId, ObservationWindow, SoftwareLocus,
-    SystemSpec,
-};
+use failtypes::Error;
 
 pub use format::{Header, FORMAT_VERSION, HEADER_LEN};
 
@@ -110,10 +104,9 @@ impl SourceInfo {
 }
 
 /// A loaded `.fsidx` snapshot: a fully-reconstructed [`StreamView`]
-/// plus the source fingerprint it was built against.
-///
-/// Implements [`FleetIndex`] by delegation, so reports render from a
-/// snapshot exactly as they would from a freshly-parsed log.
+/// plus the source fingerprint it was built against. Reports render
+/// from [`Snapshot::view`] exactly as they would from a freshly-parsed
+/// log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     view: StreamView,
@@ -134,57 +127,6 @@ impl Snapshot {
     /// The source-log fingerprint recorded at save time.
     pub fn source(&self) -> SourceInfo {
         self.source
-    }
-}
-
-impl FleetIndex for Snapshot {
-    fn generation(&self) -> Generation {
-        self.view.generation()
-    }
-    fn spec(&self) -> &SystemSpec {
-        self.view.spec()
-    }
-    fn window(&self) -> ObservationWindow {
-        self.view.window()
-    }
-    fn records(&self) -> &[FailureRecord] {
-        self.view.records()
-    }
-    fn times(&self) -> &[f64] {
-        self.view.times()
-    }
-    fn ttrs_sorted(&self) -> &[f64] {
-        self.view.ttrs_sorted()
-    }
-    fn recoveries(&self) -> &[f64] {
-        self.view.recoveries()
-    }
-    fn recoveries_sorted(&self) -> &[f64] {
-        self.view.recoveries_sorted()
-    }
-    fn category_indices(&self) -> &BTreeMap<Category, Vec<u32>> {
-        self.view.category_indices()
-    }
-    fn locus_counts(&self) -> &BTreeMap<SoftwareLocus, usize> {
-        self.view.locus_counts()
-    }
-    fn node_counts(&self) -> &BTreeMap<NodeId, u64> {
-        self.view.node_counts()
-    }
-    fn slot_counts(&self) -> &[usize] {
-        self.view.slot_counts()
-    }
-    fn rack_counts(&self) -> &[usize] {
-        self.view.rack_counts()
-    }
-    fn gpu_involvements(&self) -> usize {
-        self.view.gpu_involvements()
-    }
-    fn multi_gpu_times(&self) -> &[f64] {
-        self.view.multi_gpu_times()
-    }
-    fn month_ttrs(&self) -> &[Vec<f64>] {
-        self.view.month_ttrs()
     }
 }
 
@@ -259,33 +201,29 @@ fn path_err(path: &Path, e: impl fmt::Display) -> Error {
     Error::run(format!("{}: {e}", path.display()))
 }
 
-/// Serializes `index` to `path` atomically (temp file + rename).
+/// Serializes `view` to `path` atomically (temp file + rename).
 ///
-/// `source` must fingerprint the raw on-disk bytes of the log the index
+/// `source` must fingerprint the raw on-disk bytes of the log the view
 /// was built from — it is what future loads validate against. Returns
 /// the total bytes written.
 ///
 /// # Errors
 ///
 /// I/O failures only; encoding is infallible.
-pub fn save(
-    path: impl AsRef<Path>,
-    index: &dyn FleetIndex,
-    source: SourceInfo,
-) -> Result<u64, Error> {
-    save_traced(path, index, source, None)
+pub fn save(path: impl AsRef<Path>, view: &StreamView, source: SourceInfo) -> Result<u64, Error> {
+    save_traced(path, view, source, None)
 }
 
 /// [`save`], recording the bytes written on the `index.save_bytes`
 /// trace counter.
 pub fn save_traced(
     path: impl AsRef<Path>,
-    index: &dyn FleetIndex,
+    view: &StreamView,
     source: SourceInfo,
     trace: Option<&Collector>,
 ) -> Result<u64, Error> {
     let path = path.as_ref();
-    let body = format::encode_body(index);
+    let body = format::encode_body(view);
     let header = Header {
         version: FORMAT_VERSION,
         source,
@@ -494,7 +432,7 @@ fn open_indexed_bytes(log_path: &Path, raw: &[u8], trace: Option<&Collector>) ->
                 Ok(t) => t,
                 Err(_) => return cold(),
             };
-            let generation = snapshot.generation();
+            let generation = snapshot.view().generation();
             let rows = match faillog::parse_body_rows(tail, generation, header.source.lines as usize)
             {
                 Ok(r) => r,
@@ -506,8 +444,8 @@ fn open_indexed_bytes(log_path: &Path, raw: &[u8], trace: Option<&Collector>) ->
                 Err(_) => return cold(),
             };
             let source = SourceInfo::of_bytes(raw);
+            save_traced(&spath, &view, source, trace).ok();
             let snapshot = Snapshot { view, source };
-            save_traced(&spath, &snapshot, source, trace).ok();
             if let Some(t) = trace {
                 t.incr("index.snapshot_extend", 1);
             }

@@ -6,7 +6,7 @@
 //! of an MTBF measured by [`failscope::TbfAnalysis`], plus the expected
 //! waste model needed to compare plans.
 
-use failscope::{FleetIndex, LogView};
+use failscope::StreamView;
 use failtypes::FailureLog;
 use serde::{Deserialize, Serialize};
 
@@ -73,15 +73,15 @@ impl CheckpointPlan {
         })
     }
 
-    /// Derives the plan from any measured [`FleetIndex`] (a batch
-    /// [`LogView`] or a live [`failscope::StreamView`]).
+    /// Derives the plan from a measured [`StreamView`], built in one
+    /// batch pass or live from a stream.
     ///
     /// # Errors
     ///
     /// Fails when the index holds fewer than two failures (no MTBF) or
     /// the parameters are invalid for the measured MTBF.
-    pub fn from_index<V: FleetIndex + ?Sized>(
-        index: &V,
+    pub fn from_index(
+        index: &StreamView,
         checkpoint_cost_hours: f64,
     ) -> Result<Self, InvalidCheckpointParams> {
         let tbf = failscope::TbfAnalysis::from_index(index)
@@ -100,7 +100,7 @@ impl CheckpointPlan {
         log: &FailureLog,
         checkpoint_cost_hours: f64,
     ) -> Result<Self, InvalidCheckpointParams> {
-        Self::from_index(&LogView::new(log), checkpoint_cost_hours)
+        Self::from_index(&StreamView::new(log), checkpoint_cost_hours)
     }
 
     /// The system MTBF in hours.

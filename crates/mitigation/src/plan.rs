@@ -8,7 +8,7 @@
 //! the Fig. 5 skew — the one-call API an operations team would script
 //! against.
 
-use failscope::{FleetIndex, LogView};
+use failscope::StreamView;
 use failtypes::{ComponentClass, FailureLog};
 use serde::{Deserialize, Serialize};
 
@@ -81,13 +81,13 @@ pub struct OperationsPlan {
 }
 
 impl OperationsPlan {
-    /// Derives the full plan from any measured [`FleetIndex`] in a
-    /// single indexed pass — a batch [`LogView`] or a live
-    /// [`failscope::StreamView`] mid-ingestion work the same way.
+    /// Derives the full plan from a measured [`StreamView`] in a
+    /// single indexed pass — a batch build or a live view mid-ingestion
+    /// work the same way.
     ///
     /// Returns `None` when the index is too small to measure an MTBF or
     /// has no GPU failures (both needed by most of the plan).
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V, config: PlanConfig) -> Option<Self> {
+    pub fn from_index(index: &StreamView, config: PlanConfig) -> Option<Self> {
         let checkpoint = CheckpointPlan::from_index(index, config.checkpoint_cost_hours).ok()?;
 
         let mut spares = Vec::new();
@@ -139,7 +139,7 @@ impl OperationsPlan {
     /// has no GPU failures (both needed by most of the plan).
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog, config: PlanConfig) -> Option<Self> {
-        Self::from_index(&LogView::new(log), config)
+        Self::from_index(&StreamView::new(log), config)
     }
 
     /// Renders the plan as an operator-facing text block.

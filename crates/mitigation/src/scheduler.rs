@@ -6,7 +6,7 @@
 //! compares slot-allocation policies by the expected interruption
 //! probability of the jobs they place.
 
-use failscope::{FleetIndex, LogView, SlotDistribution};
+use failscope::{SlotDistribution, StreamView};
 use failtypes::{FailureLog, GpuSlot};
 use serde::{Deserialize, Serialize};
 
@@ -30,11 +30,11 @@ impl SlotRiskModel {
         Some(SlotRiskModel { rates_per_hour })
     }
 
-    /// Derives per-slot rates from any measured [`FleetIndex`]: slot
+    /// Derives per-slot rates from a measured [`StreamView`]: slot
     /// involvements over the window, divided across the system's nodes.
     ///
     /// Returns `None` when the index records no slot involvements.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         let dist = SlotDistribution::from_index(index);
         if dist.total_involvements() == 0 {
             return None;
@@ -53,7 +53,7 @@ impl SlotRiskModel {
     /// Returns `None` when the log records no slot involvements.
     #[doc(hidden)]
     pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
+        Self::from_index(&StreamView::new(log))
     }
 
     /// Number of GPU slots per node.

@@ -7,7 +7,7 @@
 //! replenishment lead time) and validates the sizing with a discrete-event
 //! inventory simulation.
 
-use failscope::{FleetIndex, LogView};
+use failscope::StreamView;
 use failstats::{sample_poisson, ContinuousDist, Exponential};
 use failtypes::{ComponentClass, FailureLog};
 use rand::rngs::StdRng;
@@ -36,12 +36,12 @@ impl SparePolicy {
         })
     }
 
-    /// Derives the demand rate from any measured [`FleetIndex`] for one
+    /// Derives the demand rate from a measured [`StreamView`] for one
     /// component class (replacement-driven categories).
     ///
     /// Returns `None` when the class never failed.
-    pub fn from_index<V: FleetIndex + ?Sized>(
-        index: &V,
+    pub fn from_index(
+        index: &StreamView,
         class: ComponentClass,
         lead_time_hours: f64,
     ) -> Option<Self> {
@@ -58,7 +58,7 @@ impl SparePolicy {
         class: ComponentClass,
         lead_time_hours: f64,
     ) -> Option<Self> {
-        Self::from_index(&LogView::new(log), class, lead_time_hours)
+        Self::from_index(&StreamView::new(log), class, lead_time_hours)
     }
 
     /// Mean demand during one replenishment lead time.

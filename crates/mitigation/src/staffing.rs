@@ -9,7 +9,7 @@
 //! through a `k`-crew queue and reports the inflation, giving operators
 //! the staffing/TTR trade-off curve.
 
-use failscope::{FleetIndex, LogView};
+use failscope::StreamView;
 use failtypes::FailureLog;
 use serde::{Deserialize, Serialize};
 
@@ -38,15 +38,12 @@ impl StaffingOutcome {
     }
 }
 
-/// Replays the failures of any [`FleetIndex`] through `crews` parallel
+/// Replays the failures of a [`StreamView`] through `crews` parallel
 /// repair crews in arrival order: each failure waits until a crew frees
 /// up, then occupies it for the recorded TTR.
 ///
 /// Returns `None` for an empty index or zero crews.
-pub fn simulate_staffing_index<V: FleetIndex + ?Sized>(
-    index: &V,
-    crews: u32,
-) -> Option<StaffingOutcome> {
+pub fn simulate_staffing_index(index: &StreamView, crews: u32) -> Option<StaffingOutcome> {
     if index.is_empty() || crews == 0 {
         return None;
     }
@@ -89,7 +86,7 @@ pub fn simulate_staffing_index<V: FleetIndex + ?Sized>(
 
 /// [`simulate_staffing_index`], indexing the log once.
 pub fn simulate_staffing(log: &FailureLog, crews: u32) -> Option<StaffingOutcome> {
-    simulate_staffing_index(&LogView::new(log), crews)
+    simulate_staffing_index(&StreamView::new(log), crews)
 }
 
 /// Smallest crew count whose effective-MTTR inflation stays at or below
@@ -101,11 +98,7 @@ pub fn simulate_staffing(log: &FailureLog, crews: u32) -> Option<StaffingOutcome
 /// # Panics
 ///
 /// Panics if `max_inflation < 1` or `crew_cap == 0`.
-pub fn required_crews_index<V: FleetIndex + ?Sized>(
-    index: &V,
-    max_inflation: f64,
-    crew_cap: u32,
-) -> Option<u32> {
+pub fn required_crews_index(index: &StreamView, max_inflation: f64, crew_cap: u32) -> Option<u32> {
     assert!(max_inflation >= 1.0, "inflation target below 1 is impossible");
     assert!(crew_cap > 0, "crew cap must be positive");
     for crews in 1..=crew_cap {
@@ -123,7 +116,7 @@ pub fn required_crews_index<V: FleetIndex + ?Sized>(
 ///
 /// Panics if `max_inflation < 1` or `crew_cap == 0`.
 pub fn required_crews(log: &FailureLog, max_inflation: f64, crew_cap: u32) -> Option<u32> {
-    required_crews_index(&LogView::new(log), max_inflation, crew_cap)
+    required_crews_index(&StreamView::new(log), max_inflation, crew_cap)
 }
 
 #[cfg(test)]

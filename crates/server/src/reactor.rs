@@ -36,6 +36,13 @@
 //! pipelined queries faster than it reads responses throttles itself,
 //! not the server. Request lines are capped at [`MAX_LINE`].
 //!
+//! An accept that fails for lack of resources (`EMFILE`/`ENFILE` when
+//! descriptors run out) leaves the connection queued, so the
+//! level-triggered listener would report readable again at once and
+//! spin the loop. The listener is withdrawn instead (counted as
+//! `server.accept_errors`) and re-armed when a connection closes or
+//! after [`ACCEPT_BACKOFF`], whichever comes first.
+//!
 //! # Shutdown
 //!
 //! The `shutdown` command answers its own request, then drains: the
@@ -50,6 +57,7 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use failapi::wire::{self, Command};
 use failapi::{QueryEngine, QueryRequest, WatchRequest};
@@ -79,6 +87,9 @@ const READ_CHUNK: usize = 64 * 1024;
 /// firehose sender cannot starve its peers (level-triggered polling
 /// revisits it immediately).
 const READ_BURST: usize = 1024 * 1024;
+/// How long the listener stays withdrawn after a failed accept, unless
+/// a connection closes (freeing a descriptor) first.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Work shipped to the pool: the queries whose execution cost is
 /// unbounded. Everything else is answered inline on the loop.
@@ -261,6 +272,7 @@ pub(crate) fn run(
         requests: 0,
         jobs_inflight: 0,
         draining: false,
+        accept_resume: None,
     };
     reactor.serve();
     drop(reactor.job_tx.take());
@@ -360,13 +372,21 @@ struct Reactor {
     requests: u64,
     jobs_inflight: usize,
     draining: bool,
+    /// When a listener withdrawn by a failed accept is re-armed; `None`
+    /// while it is armed.
+    accept_resume: Option<Instant>,
 }
 
 impl Reactor {
     fn serve(&mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            if self.poller.wait(&mut events, -1).is_err() {
+            let timeout = self.accept_resume.map_or(-1, |at| {
+                // Round up so the loop never wakes just short of `at`.
+                let left = at.saturating_duration_since(Instant::now());
+                i32::try_from(left.as_millis() + 1).unwrap_or(i32::MAX)
+            });
+            if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
             for &ev in &events {
@@ -384,7 +404,8 @@ impl Reactor {
                 }
             }
             self.drain_completions();
-            self.sweep();
+            let closed = self.sweep();
+            self.rearm_listener(closed);
             let all_flushed = self.conns.values().all(Conn::flushed);
             if self.draining && self.jobs_inflight == 0 && all_flushed {
                 break;
@@ -397,13 +418,22 @@ impl Reactor {
             return;
         }
         loop {
-            let stream = match self.listener.accept() {
+            let stream = match self.accept() {
                 Ok(s) => s.into_low_latency(),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                // Transient (fd pressure, peer reset between accept
-                // and now): level-triggered polling retries next tick.
-                Err(_) => break,
+                Err(e) => {
+                    self.engine.metrics().incr("server.accept_errors", 1);
+                    if e.kind() == std::io::ErrorKind::ConnectionAborted {
+                        // The peer gave up; the next one may be fine.
+                        continue;
+                    }
+                    // Out of descriptors or buffers: the connection
+                    // stays queued, so back off instead of spinning.
+                    self.poller.remove(self.listener.as_raw_fd()).ok();
+                    self.accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
+                    break;
+                }
             };
             if stream.set_nonblocking(true).is_err() {
                 continue;
@@ -421,6 +451,28 @@ impl Reactor {
             self.engine.metrics().incr("server.connections", 1);
             self.conns.insert(token, Conn::new(stream));
         }
+    }
+
+    fn accept(&self) -> std::io::Result<Stream> {
+        #[cfg(test)]
+        tests::accept_fault()?;
+        self.listener.accept()
+    }
+
+    /// Re-arms a listener withdrawn by a failed accept once a
+    /// connection has closed or the back-off has passed.
+    fn rearm_listener(&mut self, closed: usize) {
+        let Some(at) = self.accept_resume else {
+            return;
+        };
+        if closed == 0 && Instant::now() < at {
+            return;
+        }
+        let fd = self.listener.as_raw_fd();
+        self.accept_resume = match self.poller.add(fd, LISTENER, true, false) {
+            Ok(()) => None,
+            Err(_) => Some(Instant::now() + ACCEPT_BACKOFF),
+        };
     }
 
     fn drain_waker(&mut self) {
@@ -679,6 +731,7 @@ impl Reactor {
             return;
         }
         self.draining = true;
+        self.accept_resume = None;
         self.poller.remove(self.listener.as_raw_fd()).ok();
         for conn in self.conns.values_mut() {
             conn.read_buf.clear();
@@ -687,8 +740,8 @@ impl Reactor {
     }
 
     /// Re-registers interest to match each connection's state and
-    /// drops finished or dead connections.
-    fn sweep(&mut self) {
+    /// drops finished or dead connections; returns how many it dropped.
+    fn sweep(&mut self) -> usize {
         let Reactor {
             poller,
             conns,
@@ -736,21 +789,24 @@ impl Reactor {
                 doomed.push(token);
             }
         }
-        for token in doomed {
+        for &token in &doomed {
             if let Some(conn) = conns.remove(&token) {
                 if conn.registered {
                     poller.remove(conn.stream.as_raw_fd()).ok();
                 }
             }
         }
+        doomed.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
-    use std::sync::mpsc;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Arc};
     use std::thread;
     use std::time::Duration;
 
@@ -769,6 +825,30 @@ mod tests {
         if matches!(cmd, JobCmd::Watch(req) if req.source == PANIC_SOURCE) {
             panic!("injected fault");
         }
+    }
+
+    /// Linux's "too many open files".
+    const EMFILE: i32 = 24;
+
+    thread_local! {
+        /// How many more accepts on this reactor thread fail with
+        /// `EMFILE`; installed by the test that runs the reactor here.
+        static ACCEPT_FAULTS: RefCell<Option<Arc<AtomicUsize>>> = const { RefCell::new(None) };
+    }
+
+    /// The accept hook the reactor runs first in test builds: fails the
+    /// accept while the installed fault budget lasts.
+    pub(super) fn accept_fault() -> std::io::Result<()> {
+        let fail = ACCEPT_FAULTS.with_borrow(|faults| {
+            faults.as_ref().is_some_and(|left| {
+                left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_ok()
+            })
+        });
+        if fail {
+            return Err(std::io::Error::from_raw_os_error(EMFILE));
+        }
+        Ok(())
     }
 
     fn small_watch() -> WatchRequest {
@@ -851,6 +931,66 @@ mod tests {
             .roundtrip(&wire::encode_simple(6, "shutdown"))
             .expect("shuts down");
         drop(stream);
+        server.join().expect("server thread").expect("serves");
+    }
+
+    #[test]
+    fn failed_accepts_back_off_instead_of_spinning() {
+        const BUDGET: usize = 1_000_000;
+        let faults = Arc::new(AtomicUsize::new(BUDGET));
+        let (tx, rx) = mpsc::channel();
+        let server = thread::spawn({
+            let faults = Arc::clone(&faults);
+            move || {
+                ACCEPT_FAULTS.set(Some(faults));
+                crate::serve(
+                    ServerConfig {
+                        endpoint: Endpoint::tcp("127.0.0.1:0"),
+                        max_inflight: 1,
+                    },
+                    move |bound| tx.send(bound.clone()).expect("report bound endpoint"),
+                )
+            }
+        });
+        let endpoint = rx.recv().expect("server binds");
+        let Endpoint::Tcp(addr) = &endpoint else {
+            panic!("expected a tcp endpoint, got {endpoint}");
+        };
+
+        // The connection queues in the backlog; every accept of it
+        // fails while the budget lasts.
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("sets a deadline");
+        thread::sleep(Duration::from_millis(200));
+        let attempts = BUDGET - faults.swap(0, Ordering::SeqCst);
+        // One attempt when the client arrives, then one per 100 ms
+        // back-off; a spinning loop makes tens of thousands.
+        assert!(
+            (1..=5).contains(&attempts),
+            "{attempts} accept attempts in 200 ms"
+        );
+
+        // Descriptors are back: the queued client is served normally.
+        stream
+            .write_all(format!("{}\n", wire::encode_simple(1, "ping")).as_bytes())
+            .expect("sends");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reads");
+        assert_eq!(line.trim_end(), wire::encode_ok(1, "ping", false, "pong\n"));
+
+        let mut client = Connection::connect(&endpoint).expect("connects");
+        let metrics = client
+            .roundtrip(&wire::encode_simple(2, "metrics"))
+            .expect("metrics");
+        let counter = format!(r#""stage":"server.accept_errors","value":{attempts}}}"#);
+        assert!(metrics.output.contains(&counter), "{}", metrics.output);
+        client
+            .roundtrip(&wire::encode_simple(3, "shutdown"))
+            .expect("shuts down");
+        drop((stream, reader));
         server.join().expect("server thread").expect("serves");
     }
 }

@@ -319,6 +319,11 @@ impl FailureLog {
         self.records.is_empty()
     }
 
+    /// Consumes the log, returning its records in ascending time order.
+    pub fn into_records(self) -> Vec<FailureRecord> {
+        self.records
+    }
+
     /// Iterates over the records in time order.
     pub fn iter(&self) -> std::slice::Iter<'_, FailureRecord> {
         self.records.iter()

@@ -30,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use failscope::LogView;
+use failscope::StreamView;
 use failsim::{Simulator, SystemModel};
 use failstats::ks_test_two_sample;
 use failtypes::{Alert, AlertKind, AlertSeverity, Category, FailureLog};
@@ -65,12 +65,16 @@ impl Baseline {
     /// stock calibrated models).
     pub fn from_model(model: SystemModel, seed: u64) -> failtypes::Result<Self> {
         let log = Simulator::new(model, seed).generate()?;
-        Ok(Baseline::from_log(&log))
+        Ok(Baseline::from_index(&StreamView::from_log(log, None)))
     }
 
     /// Summarizes an existing reference log into a baseline.
     pub fn from_log(log: &FailureLog) -> Self {
-        let view = LogView::new(log);
+        Baseline::from_index(&StreamView::new(log))
+    }
+
+    /// Summarizes an indexed reference log into a baseline.
+    pub fn from_index(view: &StreamView) -> Self {
         let n = view.len().max(1);
         let category_fractions = view
             .category_indices()
@@ -96,12 +100,12 @@ impl Baseline {
             })
             .collect();
         Baseline {
-            name: log.spec().name().to_string(),
+            name: view.spec().name().to_string(),
             category_fractions,
             mttr_hours,
             ttr_sample,
             slot_shares,
-            mtbf_hours: log.window().duration().get() / n as f64,
+            mtbf_hours: view.window().duration().get() / n as f64,
         }
     }
 

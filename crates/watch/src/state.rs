@@ -5,7 +5,8 @@
 //!
 //! 1. a [`failscope::StreamView`] — the full incremental index
 //!    (category partitions, node/slot/rack counts, month buckets) whose
-//!    contents are equal to the batch `LogView` after full ingestion;
+//!    contents equal the batch `StreamView::from_log` build after full
+//!    ingestion;
 //! 2. since-start sketches — [`QuantileSketch`]es over inter-arrival
 //!    gaps and repair durations whose exact mode reproduces the batch
 //!    `Ecdf` numbers bit for bit (MTBF itself is the closed-form
@@ -188,7 +189,7 @@ impl WatchState {
         config: StateConfig,
     ) -> Self {
         WatchState {
-            view: StreamView::new(generation, spec, window),
+            view: StreamView::empty(generation, spec, window),
             gap_sketch: QuantileSketch::new(config.sketch_capacity),
             ttr_sketch: QuantileSketch::new(config.sketch_capacity),
             last_time: None,

@@ -2,8 +2,9 @@
 //!
 //! Three layers, three contracts:
 //!
-//! 1. **LogView equivalence** — every `from_view` analysis equals its
-//!    `from_log` original, on canonical and on arbitrary seeds
+//! 1. **Batch-view equivalence** — every `from_index` analysis over a
+//!    one-pass `StreamView::from_log` build equals its `from_log`
+//!    convenience, on canonical and on arbitrary seeds
 //!    (property-tested).
 //! 2. **Thread-count invariance** — the threaded report renderer and
 //!    the sharded seed sweeps return bit-identical results at any
@@ -14,53 +15,53 @@
 use failbench::experiments;
 use failbench::runner;
 use failscope::{
-    class_mtbf_hours, class_mtbf_hours_view, gpu_involvement_mtbf_hours,
-    gpu_involvement_mtbf_hours_view, per_category_tbf, per_category_tbf_view, per_category_ttr,
-    per_category_ttr_view, render_report, render_report_threaded, AvailabilityAnalysis,
-    CategoryBreakdown, ClassBreakdown, DomainBreakdown, LocusBreakdown, LogView, MultiGpuTemporal,
-    NodeDistribution, RackDistribution, SeasonalAnalysis, SlotDistribution, TbfAnalysis,
-    TtrAnalysis,
+    class_mtbf_hours, class_mtbf_hours_index, gpu_involvement_mtbf_hours,
+    gpu_involvement_mtbf_hours_index, per_category_tbf, per_category_tbf_index, per_category_ttr,
+    per_category_ttr_index, render_report, render_report_threaded, AvailabilityAnalysis,
+    CategoryBreakdown, ClassBreakdown, DomainBreakdown, LocusBreakdown, MultiGpuTemporal,
+    NodeDistribution, RackDistribution, SeasonalAnalysis, SlotDistribution, StreamView,
+    TbfAnalysis, TtrAnalysis,
 };
 use failsim::{Simulator, SystemModel};
 use failtypes::{ComponentClass, FailureLog};
 use proptest::prelude::*;
 
 fn assert_view_matches_log(log: &FailureLog) {
-    let view = LogView::new(log);
+    let view = StreamView::from_log(log.clone(), None);
 
-    assert_eq!(CategoryBreakdown::from_view(&view), CategoryBreakdown::from_log(log));
-    assert_eq!(ClassBreakdown::from_view(&view), ClassBreakdown::from_log(log));
-    assert_eq!(DomainBreakdown::from_view(&view), DomainBreakdown::from_log(log));
-    assert_eq!(LocusBreakdown::from_view(&view), LocusBreakdown::from_log(log));
+    assert_eq!(CategoryBreakdown::from_index(&view), CategoryBreakdown::from_log(log));
+    assert_eq!(ClassBreakdown::from_index(&view), ClassBreakdown::from_log(log));
+    assert_eq!(DomainBreakdown::from_index(&view), DomainBreakdown::from_log(log));
+    assert_eq!(LocusBreakdown::from_index(&view), LocusBreakdown::from_log(log));
 
-    assert_eq!(NodeDistribution::from_view(&view), NodeDistribution::from_log(log));
-    assert_eq!(SlotDistribution::from_view(&view), SlotDistribution::from_log(log));
-    assert_eq!(RackDistribution::from_view(&view), RackDistribution::from_log(log));
+    assert_eq!(NodeDistribution::from_index(&view), NodeDistribution::from_log(log));
+    assert_eq!(SlotDistribution::from_index(&view), SlotDistribution::from_log(log));
+    assert_eq!(RackDistribution::from_index(&view), RackDistribution::from_log(log));
 
-    assert_eq!(TbfAnalysis::from_view(&view), TbfAnalysis::from_log(log));
-    assert_eq!(TtrAnalysis::from_view(&view), TtrAnalysis::from_log(log));
-    assert_eq!(per_category_tbf_view(&view, 5), per_category_tbf(log, 5));
-    assert_eq!(per_category_ttr_view(&view), per_category_ttr(log));
+    assert_eq!(TbfAnalysis::from_index(&view), TbfAnalysis::from_log(log));
+    assert_eq!(TtrAnalysis::from_index(&view), TtrAnalysis::from_log(log));
+    assert_eq!(per_category_tbf_index(&view, 5), per_category_tbf(log, 5));
+    assert_eq!(per_category_ttr_index(&view), per_category_ttr(log));
     for class in [ComponentClass::Gpu, ComponentClass::Cpu, ComponentClass::Storage] {
         assert_eq!(
-            class_mtbf_hours_view(&view, class),
+            class_mtbf_hours_index(&view, class),
             class_mtbf_hours(log, class)
         );
     }
     assert_eq!(
-        gpu_involvement_mtbf_hours_view(&view),
+        gpu_involvement_mtbf_hours_index(&view),
         gpu_involvement_mtbf_hours(log)
     );
 
     assert_eq!(
-        MultiGpuTemporal::from_view(&view, 96.0),
+        MultiGpuTemporal::from_index(&view, 96.0),
         MultiGpuTemporal::from_log(log, 96.0)
     );
     assert_eq!(
-        AvailabilityAnalysis::from_view(&view),
+        AvailabilityAnalysis::from_index(&view),
         AvailabilityAnalysis::from_log(log)
     );
-    assert_eq!(SeasonalAnalysis::from_view(&view), SeasonalAnalysis::from_log(log));
+    assert_eq!(SeasonalAnalysis::from_index(&view), SeasonalAnalysis::from_log(log));
 }
 
 #[test]

@@ -7,17 +7,15 @@
 //!    chunk size, and both equal the post-hoc filter of an unfiltered
 //!    parse (property-tested over corpora and a predicate pool).
 //! 2. **Streaming equals batch under a filter** — a [`StreamView`]
-//!    filtered after incremental ingest matches the batch [`LogView`]
-//!    of the post-hoc-filtered log, on every sampled prefix.
+//!    filtered after incremental ingest matches the one-pass build of
+//!    the post-hoc-filtered log, on every sampled prefix.
 //! 3. **Snapshots compose with filters** — a `.fsidx` snapshot always
 //!    stores unfiltered state; applying a predicate to the decoded
 //!    view renders byte-identical reports to a filtered cold parse,
 //!    for both canonical seed logs at 1–4 threads.
 
 use failfilter::CompiledPredicate;
-use failscope::{
-    render_text_sections, select_sections, FleetIndex, LogView, SectionCtx, StreamView,
-};
+use failscope::{render_text_sections, select_sections, SectionCtx, StreamView};
 use failsim::{ScenarioBuilder, Simulator, SystemModel};
 use faillog::ParseOptions;
 use failtypes::FailureLog;
@@ -48,7 +46,7 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-fn render(index: &(dyn FleetIndex + Sync), threads: usize) -> String {
+fn render(index: &StreamView, threads: usize) -> String {
     let sections = select_sections(ANALYSIS).expect("section spec is valid");
     render_text_sections(&sections, &SectionCtx::new(index), threads)
 }
@@ -136,8 +134,9 @@ proptest! {
             }
         }
         let filtered = view.filtered(|r| pred.matches(r, &spec, window));
-        let oracle = post_hoc(&log, &pred);
-        prop_assert_eq!(render(&filtered, 2), render(&LogView::new(&oracle), 2));
+        let oracle = StreamView::from_log(post_hoc(&log, &pred), None);
+        prop_assert_eq!(&filtered, &oracle);
+        prop_assert_eq!(render(&filtered, 2), render(&oracle, 2));
     }
 }
 
@@ -154,7 +153,7 @@ fn warm_filtered_reports_match_cold_filtered_byte_for_byte() {
         let path = dir.join(format!("{}.fslog", log.generation()));
         std::fs::write(&path, &text).expect("writes log");
         let source = failindex::SourceInfo::of_bytes(text.as_bytes());
-        failindex::save(failindex::snapshot_path(&path), &LogView::new(&log), source)
+        failindex::save(failindex::snapshot_path(&path), &StreamView::new(&log), source)
             .expect("saves snapshot");
 
         for expr in ["category == gpu && ttr > 24", "month in (6, 7, 8)", "node ~ \"rack1\""] {
@@ -175,7 +174,7 @@ fn warm_filtered_reports_match_cold_filtered_byte_for_byte() {
                     faillog::load_with(&path, &opts).expect("filtered cold parse succeeds");
                 assert_eq!(
                     render(&warm, threads),
-                    render(&LogView::new(&cold), threads),
+                    render(&StreamView::from_log(cold, None), threads),
                     "warm vs cold diverged for `{expr}` at {threads} threads on {}",
                     log.generation()
                 );

@@ -14,9 +14,7 @@
 //!    re-opening through the snapshot yields exactly the index a cold
 //!    rebuild would produce, at every step (property-tested).
 
-use failscope::{
-    render_text_sections, select_sections, FleetIndex, LogView, SectionCtx, StreamView,
-};
+use failscope::{render_text_sections, select_sections, SectionCtx, StreamView};
 use failsim::{ScenarioBuilder, Simulator, SystemModel};
 use failtypes::FailureLog;
 use proptest::prelude::*;
@@ -33,13 +31,13 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-fn render(index: &(dyn FleetIndex + Sync), threads: usize) -> String {
+fn render(index: &StreamView, threads: usize) -> String {
     let sections = select_sections(ANALYSIS).expect("section spec is valid");
     render_text_sections(&sections, &SectionCtx::new(index), threads)
 }
 
 /// The index a cold, from-scratch ingest of `log` produces.
-fn cold_view(log: &FailureLog) -> StreamView {
+fn cold_index(log: &FailureLog) -> StreamView {
     let mut view = StreamView::for_log(log);
     view.extend(log.records().iter().cloned()).expect("valid log");
     view
@@ -60,7 +58,7 @@ fn canonical_logs_round_trip_with_byte_identical_reports() {
 
         let written = failindex::save(
             failindex::snapshot_path(&path),
-            &LogView::new(&log),
+            &StreamView::new(&log),
             failindex::SourceInfo::of_bytes(text.as_bytes()),
         )
         .expect("saves snapshot");
@@ -76,11 +74,11 @@ fn canonical_logs_round_trip_with_byte_identical_reports() {
             failindex::IndexedLoad::Exact(snap) => snap,
             other => panic!("expected an exact hit, got {other:?}"),
         };
-        assert_eq!(snap.view(), &cold_view(&log), "loaded index == rebuilt index");
+        assert_eq!(snap.view(), &cold_index(&log), "loaded index == rebuilt index");
 
-        let cold = render(&LogView::new(&log), 1);
+        let cold = render(&StreamView::new(&log), 1);
         for threads in 1..=4 {
-            assert_eq!(render(&snap, threads), cold, "threads={threads}");
+            assert_eq!(render(snap.view(), threads), cold, "threads={threads}");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -96,7 +94,7 @@ fn every_corruption_degrades_silently_to_a_cold_parse() {
     std::fs::write(&path, &text).expect("writes log");
     failindex::save(
         &spath,
-        &LogView::new(&log),
+        &StreamView::new(&log),
         failindex::SourceInfo::of_bytes(text.as_bytes()),
     )
     .expect("saves snapshot");
@@ -208,7 +206,7 @@ proptest! {
             contents.push('\n');
             std::fs::write(&path, &contents).expect("writes log");
 
-            let expected = cold_view(&faillog::load(&path).expect("cold parse"));
+            let expected = cold_index(&faillog::load(&path).expect("cold parse"));
             match failindex::open_indexed(&path, None).expect("opens") {
                 // First touch: nothing on disk yet — seed the snapshot
                 // the way `--index auto` does after a cold parse.
