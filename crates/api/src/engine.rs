@@ -581,7 +581,7 @@ impl QueryEngine {
         let newer = self.file_input(req, new, trace, filter)?.view;
         let body = trace.time("compare.render", || match opts.format {
             OutputFormat::Text => {
-                failscope::render_comparison_threaded(&older, &newer, opts.threads)
+                failscope::render_comparison(&older, &newer, opts.threads)
             }
             OutputFormat::Json => failscope::render_comparison_json(&older, &newer, opts.threads),
         });
@@ -675,7 +675,7 @@ impl QueryEngine {
             // Unreadable input: parse uncached so the loader reports
             // the canonical error (and never poisons a cache entry).
             let load_trace = Collector::new();
-            let log = load_traced(path, &load_trace, &parse_opts)?;
+            let log = load_file(path, &load_trace, &parse_opts)?;
             trace.merge_from(&load_trace);
             let index_trace = Collector::new();
             let view = Arc::new(StreamView::from_log(log, Some(&index_trace)));
@@ -696,7 +696,7 @@ impl QueryEngine {
             return Ok(hit);
         }
         let load_trace = Collector::new();
-        let log = load_traced(path, &load_trace, &parse_opts)?;
+        let log = load_file(path, &load_trace, &parse_opts)?;
         trace.merge_from(&load_trace);
         let input = self.remember(key, log, load_trace, path.to_string(), Some(info));
         if filter.is_none() {
@@ -868,10 +868,10 @@ fn validate_chunk(opts: &QueryOptions) -> Result<()> {
     Ok(())
 }
 
-fn load_traced(path: &str, trace: &Collector, opts: &ParseOptions) -> Result<FailureLog> {
+fn load_file(path: &str, trace: &Collector, opts: &ParseOptions) -> Result<FailureLog> {
     // Parse errors carry their 1-based line number and offending field;
     // prefixing the path makes the message directly actionable.
-    faillog::load_traced_with(path, Some(trace), opts)
+    faillog::load_with(path, opts, Some(trace))
         .map_err(|e| Error::run(format!("{path}: {e}")))
 }
 
@@ -1078,6 +1078,22 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.starts_with("--where: unknown field `bananas`"), "{err}");
+        for deep in [
+            format!("{}ttr > 1", "!".repeat(100_000)),
+            format!("{}ttr > 1{}", "(".repeat(100_000), ")".repeat(100_000)),
+            vec!["ttr > 1"; 100_000].join(" || "),
+        ] {
+            let err = engine
+                .execute(&QueryRequest::report(QuerySource::model("tsubame2", 1)).where_expr(deep))
+                .unwrap_err();
+            assert!(matches!(err, Error::Args(_)), "unexpected error kind");
+            let err = err.to_string();
+            assert!(
+                err.starts_with("--where: expression nests deeper than 128 levels"),
+                "{}",
+                &err[..80]
+            );
+        }
         let err = engine
             .execute(&QueryRequest::report(QuerySource::model("tsubame2", 1)).chunk_bytes(0))
             .unwrap_err()

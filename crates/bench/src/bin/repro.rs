@@ -448,6 +448,7 @@ fn bench(catalog: &[CatalogEntry], json_path: &str) {
                 endpoint: Endpoint::tcp("127.0.0.1:0"),
                 max_inflight: SERVER_CLIENTS,
             },
+            QueryEngine::new(),
             move |bound| {
                 srv_tx.send(bound.clone()).expect("report bound endpoint");
             },

@@ -32,15 +32,14 @@ fn locked<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
     map.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Memoized cache of simulated logs keyed by `(model, seed)`, plus
-/// on-disk logs keyed by path (served from warm `.fsidx` snapshots
-/// when one validates).
+/// Memoized cache of simulated logs keyed by `(model, seed)`.
+///
+/// On-disk logs are memoized by `failapi::QueryEngine`, which also
+/// consults warm `.fsidx` snapshots; this store only holds simulated
+/// logs, including ablation models the engine has no name for.
 pub struct LogStore {
     cells: Mutex<BTreeMap<Key, Cell>>,
-    file_cells: Mutex<BTreeMap<String, Cell>>,
     simulations: AtomicU64,
-    loads: AtomicU64,
-    snapshot_hits: AtomicU64,
     hits: AtomicU64,
 }
 
@@ -49,10 +48,7 @@ impl LogStore {
     pub const fn new() -> Self {
         LogStore {
             cells: Mutex::new(BTreeMap::new()),
-            file_cells: Mutex::new(BTreeMap::new()),
             simulations: AtomicU64::new(0),
-            loads: AtomicU64::new(0),
-            snapshot_hits: AtomicU64::new(0),
             hits: AtomicU64::new(0),
         }
     }
@@ -95,41 +91,6 @@ impl LogStore {
         }))
     }
 
-    /// Returns the log stored at `path`, parsing it on first use and
-    /// sharing the cached [`Arc`] thereafter. Before parsing, a warm
-    /// `.fsidx` snapshot next to the file is consulted (see
-    /// [`failindex::open_indexed`]): an exact hit reconstructs the log
-    /// with zero parsing, a prefix hit parses only the appended tail.
-    ///
-    /// # Errors
-    ///
-    /// Propagates read/parse errors for the log itself; snapshot
-    /// problems silently fall back to a cold parse.
-    pub fn get_path(&self, path: &str) -> failtypes::Result<Arc<FailureLog>> {
-        let cell = {
-            let mut cells = locked(&self.file_cells);
-            Arc::clone(cells.entry(path.to_string()).or_default())
-        };
-        if let Some(log) = cell.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(log));
-        }
-        let log = match failindex::open_indexed(path, None)? {
-            failindex::IndexedLoad::Exact(snap) => {
-                self.snapshot_hits.fetch_add(1, Ordering::Relaxed);
-                snap.into_view().to_log()
-            }
-            failindex::IndexedLoad::Extended { snapshot, .. } => {
-                self.snapshot_hits.fetch_add(1, Ordering::Relaxed);
-                snapshot.into_view().to_log()
-            }
-            failindex::IndexedLoad::Cold { .. } => faillog::load(path)
-                .map_err(|e| failtypes::Error::run(format!("{path}: {e}")))?,
-        };
-        self.loads.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::clone(cell.get_or_init(|| Arc::new(log))))
-    }
-
     /// Number of distinct `(model, seed)` keys ever requested.
     pub fn entries(&self) -> u64 {
         locked(&self.cells).len() as u64
@@ -146,26 +107,11 @@ impl LogStore {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of file logs materialized (by any path: snapshot or
-    /// cold parse).
-    pub fn loads(&self) -> u64 {
-        self.loads.load(Ordering::Relaxed)
-    }
-
-    /// Number of file loads served from a warm `.fsidx` snapshot
-    /// instead of a full parse.
-    pub fn snapshot_hits(&self) -> u64 {
-        self.snapshot_hits.load(Ordering::Relaxed)
-    }
-
     /// Drops every cached log and resets the counters (used by the
     /// benchmark harness to time cold runs).
     pub fn clear(&self) {
         locked(&self.cells).clear();
-        locked(&self.file_cells).clear();
         self.simulations.store(0, Ordering::Relaxed);
-        self.loads.store(0, Ordering::Relaxed);
-        self.snapshot_hits.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
     }
 }
@@ -181,8 +127,6 @@ impl std::fmt::Debug for LogStore {
         f.debug_struct("LogStore")
             .field("entries", &self.entries())
             .field("simulations", &self.simulations())
-            .field("loads", &self.loads())
-            .field("snapshot_hits", &self.snapshot_hits())
             .field("hits", &self.hits())
             .finish()
     }
@@ -215,41 +159,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&t3, &t2));
         assert_eq!(store.entries(), 3);
         assert_eq!(store.simulations(), 3);
-    }
-
-    #[test]
-    fn file_logs_memoize_and_consult_warm_snapshots() {
-        let dir = std::env::temp_dir().join("failbench-logstore-test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-        let text = faillog::to_string(&log).unwrap();
-        let path = dir.join("store.fslog");
-        std::fs::write(&path, &text).unwrap();
-        let p = path.to_str().unwrap();
-
-        // Cold parse, then memoized.
-        let store = LogStore::new();
-        let a = store.get_path(p).unwrap();
-        let b = store.get_path(p).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((store.loads(), store.snapshot_hits(), store.hits()), (1, 0, 1));
-        assert_eq!(a.len(), 338);
-
-        // With a snapshot on disk, a fresh store serves it warm.
-        let mut view = failscope::StreamView::for_log(&log);
-        view.extend(log.records().iter().cloned()).unwrap();
-        failindex::save(
-            failindex::snapshot_path(&path),
-            &view,
-            failindex::SourceInfo::of_bytes(text.as_bytes()),
-        )
-        .unwrap();
-        let warm_store = LogStore::new();
-        let c = warm_store.get_path(p).unwrap();
-        assert_eq!((warm_store.loads(), warm_store.snapshot_hits()), (1, 1));
-        assert_eq!(c.records(), a.records());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
                 .chunk_bytes(failapi::parse_chunk_bytes(args.flag("parse-chunk"))?);
             let raw = std::fs::read(path).map_err(|e| Error::run(format!("{path}: {e}")))?;
             let source = failindex::SourceInfo::of_bytes(&raw);
-            let log = faillog::load_traced_with(path, None, &parse_opts)
+            let log = faillog::load_with(path, &parse_opts, None)
                 .map_err(|e| Error::run(format!("{path}: {e}")))?;
             let view = failscope::StreamView::from_log(log, None);
             let spath = failindex::snapshot_path(path);

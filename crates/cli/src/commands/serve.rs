@@ -40,7 +40,7 @@ pub fn serve(args: &ParsedArgs) -> Result<String> {
     // `--cache-bytes 0` disables render caching entirely (every query
     // re-renders); the default is a 64 MiB LRU budget.
     let cache_bytes: usize = args.flag_or("cache-bytes", failapi::DEFAULT_CACHE_BYTES)?;
-    let summary = failserver::serve_with_engine(
+    let summary = failserver::serve(
         ServerConfig {
             endpoint,
             max_inflight,

@@ -8,7 +8,6 @@
 //! node availability.
 
 use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
 
 use crate::StreamView;
 
@@ -26,7 +25,7 @@ use crate::StreamView;
 /// assert!(a.overlap_probability() > 0.3);
 /// assert!(a.node_availability() > 0.95);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvailabilityAnalysis {
     failures: usize,
     window_hours: f64,

@@ -1,13 +1,12 @@
 //! RQ1 — distribution of failure categories (Figs. 2 and 3).
 
 use failtypes::{Category, ComponentClass, Domain, FailureLog, SoftwareLocus};
-use serde::{Deserialize, Serialize};
 
 use crate::StreamView;
 
 /// One row of a category breakdown: a category, its count, and its share
 /// of all failures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryShare {
     /// The failure category.
     pub category: Category,
@@ -32,7 +31,7 @@ pub struct CategoryShare {
 /// assert_eq!(top.category.label(), "GPU");
 /// assert!((top.fraction - 0.4437).abs() < 0.001);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryBreakdown {
     shares: Vec<CategoryShare>,
     total: usize,
@@ -114,7 +113,7 @@ impl CategoryBreakdown {
 /// cross-generation statements ("GPU failures are significantly higher in
 /// number than CPU failures on both systems") compare on the shared
 /// [`ComponentClass`] axis, which this type provides.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassBreakdown {
     counts: Vec<(ComponentClass, usize)>,
     total: usize,
@@ -169,7 +168,7 @@ impl ClassBreakdown {
 }
 
 /// Hardware/software/unknown domain split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainBreakdown {
     /// Hardware-domain failures.
     pub hardware: usize,
@@ -215,7 +214,7 @@ impl DomainBreakdown {
 }
 
 /// One row of the software root-locus breakdown (Fig. 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocusShare {
     /// The root locus.
     pub locus: SoftwareLocus,
@@ -226,7 +225,7 @@ pub struct LocusShare {
 }
 
 /// The root-locus breakdown of software failures (Fig. 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocusBreakdown {
     shares: Vec<LocusShare>,
     total: usize,

@@ -65,9 +65,8 @@ pub use survival::{node_lifetimes, node_lifetimes_index, NodeSurvival};
 pub use multigpu::{InvolvementRow, InvolvementTable};
 pub use pep::{Pep, PepComparison};
 pub use report::{
-    comparison_json, render_comparison, render_comparison_json, render_comparison_threaded,
-    render_json_sections, render_report, render_report_json, render_report_threaded,
-    render_text_sections, section_by_id, select_sections, Section, SectionCtx,
+    render_comparison, render_comparison_json, render_json_sections, render_report,
+    render_report_json, render_text_sections, section_by_id, select_sections, Section, SectionCtx,
     METRICS_SECTION_ID, SECTIONS,
 };
 pub use seasonal::{MonthBucket, SeasonalAnalysis};

@@ -1,13 +1,12 @@
 //! RQ3 — simultaneous multi-GPU failures (Table III).
 
 use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
 
 use crate::StreamView;
 
 /// One row of Table III: how many GPU failures involved exactly `gpus`
 /// GPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvolvementRow {
     /// Number of GPUs involved.
     pub gpus: u8,
@@ -32,7 +31,7 @@ pub struct InvolvementRow {
 /// assert!(table.rows()[0].fraction > 0.92);
 /// assert_eq!(table.count_of(4), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvolvementTable {
     rows: Vec<InvolvementRow>,
     known: usize,

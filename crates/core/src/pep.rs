@@ -3,7 +3,6 @@
 //! FLOP per MTBF.
 
 use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
 
 use crate::tbf::TbfAnalysis;
 use crate::StreamView;
@@ -22,7 +21,7 @@ use crate::StreamView;
 /// // Tsubame-3 does far more useful work per failure-free period.
 /// assert!(p3.flop_per_failure_free_period() > 10.0 * p2.flop_per_failure_free_period());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pep {
     /// Theoretical peak in PFLOP/s.
     pub rpeak_pflops: f64,
@@ -62,7 +61,7 @@ impl Pep {
 /// The cross-generation PEP comparison the paper walks through: compute
 /// grew ~8x (the paper's figure; ~5.3x by Rpeak), MTBF grew ~4x, so
 /// useful work per failure-free period grew multiplicatively.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PepComparison {
     /// The older system's metric.
     pub older: Pep,

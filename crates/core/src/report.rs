@@ -851,7 +851,9 @@ fn json_metrics(ctx: &SectionCtx<'_>) -> JsonValue {
 // ---------------------------------------------------------------------
 
 /// Renders the full single-system reliability report (all five research
-/// questions) as plain text.
+/// questions) as plain text, with the sections rendered on up to
+/// `threads` workers. The sections are concatenated in declaration
+/// order, so the output is byte-identical at any thread count.
 ///
 /// # Examples
 ///
@@ -859,18 +861,11 @@ fn json_metrics(ctx: &SectionCtx<'_>) -> JsonValue {
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-/// let text = failscope::render_report(&log);
+/// let text = failscope::render_report(&log, 1);
 /// assert!(text.contains("Failure categories"));
 /// assert!(text.contains("MTBF"));
 /// ```
-pub fn render_report(log: &FailureLog) -> String {
-    render_report_threaded(log, 1)
-}
-
-/// [`render_report`] with the sections rendered on up to `threads`
-/// workers. The sections are concatenated in declaration order, so the
-/// output is byte-identical to the serial render at any thread count.
-pub fn render_report_threaded(log: &FailureLog, threads: usize) -> String {
+pub fn render_report(log: &FailureLog, threads: usize) -> String {
     let view = StreamView::new(log);
     render_text_sections(&all_sections(), &SectionCtx::new(&view), threads)
 }
@@ -894,19 +889,10 @@ pub fn render_report_json(log: &FailureLog, threads: usize) -> String {
 }
 
 /// Renders the two-generation comparison (MTBF/MTTR factors and the
-/// performance-error-proportionality argument).
-pub fn render_comparison(older: &FailureLog, newer: &FailureLog) -> String {
-    render_comparison_threaded(&StreamView::new(older), &StreamView::new(newer), 1)
-}
-
-/// [`render_comparison`] over two indexed views, with the per-view
-/// analyses computed on up to `threads` workers; output is identical at
-/// any thread count.
-pub fn render_comparison_threaded(
-    older: &StreamView,
-    newer: &StreamView,
-    threads: usize,
-) -> String {
+/// performance-error-proportionality argument) over two indexed views,
+/// with the per-view analyses computed on up to `threads` workers;
+/// output is identical at any thread count.
+pub fn render_comparison(older: &StreamView, newer: &StreamView, threads: usize) -> String {
     let views = [older, newer];
     let ttrs = failstats::par_map_ordered(2, threads, |i| TtrAnalysis::from_index(views[i]));
 
@@ -948,7 +934,7 @@ pub fn render_comparison_threaded(
 /// The comparison as one structured JSON document (`"pep"` and
 /// `"mttr_hours"` are `null` when the underlying analysis is undefined
 /// for the pair).
-pub fn comparison_json(older: &StreamView, newer: &StreamView, threads: usize) -> JsonValue {
+fn comparison_json(older: &StreamView, newer: &StreamView, threads: usize) -> JsonValue {
     let views = [older, newer];
     let ttrs = failstats::par_map_ordered(2, threads, |i| TtrAnalysis::from_index(views[i]));
 
@@ -987,8 +973,9 @@ pub fn comparison_json(older: &StreamView, newer: &StreamView, threads: usize) -
         .build()
 }
 
-/// [`comparison_json`], rendered as a single newline-terminated JSON
-/// line — the `failctl compare --format json` output.
+/// The comparison as one structured JSON document, rendered as a
+/// single newline-terminated line — the `failctl compare --format json`
+/// output.
 pub fn render_comparison_json(older: &StreamView, newer: &StreamView, threads: usize) -> String {
     let mut line = comparison_json(older, newer, threads).render();
     line.push('\n');
@@ -1006,7 +993,7 @@ mod tests {
 
     #[test]
     fn report_contains_all_sections() {
-        let text = render_report(&t3());
+        let text = render_report(&t3(), 1);
         for needle in [
             "Reliability report: Tsubame-3",
             "Failure categories",
@@ -1026,7 +1013,7 @@ mod tests {
     #[test]
     fn t2_report_has_no_locus_section() {
         let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
-        let text = render_report(&log);
+        let text = render_report(&log, 1);
         assert!(!text.contains("Software root loci"));
         assert!(text.contains("GPU slot shares"));
     }
@@ -1034,9 +1021,9 @@ mod tests {
     #[test]
     fn threaded_render_is_byte_identical() {
         let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
-        let serial = render_report(&log);
+        let serial = render_report(&log, 1);
         for threads in [2, 4, 8] {
-            assert_eq!(serial, render_report_threaded(&log, threads));
+            assert_eq!(serial, render_report(&log, threads));
         }
     }
 
@@ -1116,12 +1103,12 @@ mod tests {
     fn comparison_report() {
         let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
         let t3 = t3();
-        let text = render_comparison(&t2, &t3);
+        let (v2, v3) = (StreamView::new(&t2), StreamView::new(&t3));
+        let text = render_comparison(&v2, &v3, 1);
         assert!(text.contains("compute (Rpeak)"));
         assert!(text.contains("MTTR"));
         assert!(text.contains("reliability improved more slowly"));
-        let (v2, v3) = (StreamView::new(&t2), StreamView::new(&t3));
-        assert_eq!(text, render_comparison_threaded(&v2, &v3, 4));
+        assert_eq!(text, render_comparison(&v2, &v3, 4));
 
         let json = render_comparison_json(&v2, &v3, 1);
         assert_eq!(json, render_comparison_json(&v2, &v3, 4));
@@ -1132,7 +1119,7 @@ mod tests {
     #[test]
     fn empty_log_report_does_not_panic() {
         let log = t3().filtered(|_| false);
-        let text = render_report(&log);
+        let text = render_report(&log, 1);
         assert!(text.contains("0 failures"));
         // Empty sections degrade to data:null on the JSON side.
         let json = render_report_json(&log, 1);

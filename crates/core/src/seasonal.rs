@@ -3,12 +3,11 @@
 
 use failstats::Summary;
 use failtypes::{FailureLog, Month};
-use serde::{Deserialize, Serialize};
 
 use crate::StreamView;
 
 /// One calendar month's failures in one year.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonthBucket {
     /// Calendar year.
     pub year: i32,
@@ -21,7 +20,7 @@ pub struct MonthBucket {
 }
 
 /// The month-by-month view of a log (Figs. 11 and 12).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeasonalAnalysis {
     buckets: Vec<MonthBucket>,
 }

@@ -3,7 +3,6 @@
 
 use failstats::{chi_square_gof, ChiSquareTest, CountHistogram};
 use failtypes::{Domain, FailureLog, GpuSlot, RackId};
-use serde::{Deserialize, Serialize};
 
 use crate::StreamView;
 
@@ -20,7 +19,7 @@ use crate::StreamView;
 /// // Fig. 4a: ~60% of failing Tsubame-2 nodes saw exactly one failure.
 /// assert!((dist.fraction_with_exactly(1) - 0.6).abs() < 0.06);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeDistribution {
     histogram: CountHistogram,
     failing_nodes: usize,
@@ -105,7 +104,7 @@ impl NodeDistribution {
 }
 
 /// One GPU slot's failure share (Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotShare {
     /// The slot.
     pub slot: GpuSlot,
@@ -121,7 +120,7 @@ pub struct SlotShare {
 ///
 /// Counts every slot involvement: a failure touching GPUs 0 and 3 adds
 /// one to each slot, matching how the paper counts per-GPU failures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotDistribution {
     shares: Vec<SlotShare>,
     total_involvements: usize,
@@ -177,7 +176,7 @@ impl SlotDistribution {
 }
 
 /// One rack's failure share.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackShare {
     /// The rack.
     pub rack: RackId,
@@ -193,7 +192,7 @@ pub struct RackShare {
 /// of failures among racks is also present in multi-GPU-per-node
 /// systems". [`RackDistribution::uniformity_test`] makes that claim
 /// testable: a chi-square of the per-rack counts against the rack sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackDistribution {
     shares: Vec<RackShare>,
     total: usize,

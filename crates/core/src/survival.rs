@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 
 use failstats::{KaplanMeier, Lifetime};
 use failtypes::{FailureLog, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::StreamView;
 
@@ -40,7 +39,7 @@ pub fn node_lifetimes(log: &FailureLog) -> Vec<Lifetime> {
 }
 
 /// Kaplan–Meier analysis of node time-to-first-failure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSurvival {
     km: KaplanMeier,
     observed_failures: usize,

@@ -2,7 +2,6 @@
 
 use failstats::{Ecdf, Summary};
 use failtypes::{Category, ComponentClass, FailureLog};
-use serde::{Deserialize, Serialize};
 
 use crate::StreamView;
 
@@ -20,7 +19,7 @@ use crate::StreamView;
 /// assert!((tbf.mtbf_hours() - 15.3).abs() < 0.1);
 /// assert!((tbf.p75_hours() - 20.0).abs() < 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TbfAnalysis {
     ecdf: Ecdf,
     mtbf_hours: f64,
@@ -142,7 +141,7 @@ pub fn gpu_involvement_mtbf_hours(log: &FailureLog) -> Option<f64> {
 }
 
 /// One row of the per-category TBF table (Fig. 7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryTbf {
     /// The failure category.
     pub category: Category,

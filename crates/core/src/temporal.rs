@@ -7,12 +7,11 @@
 
 use failstats::BurstinessReport;
 use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
 
 use crate::StreamView;
 
 /// Temporal-clustering analysis of multi-GPU failures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiGpuTemporal {
     /// Burstiness of the multi-GPU failure sequence.
     pub report: BurstinessReport,

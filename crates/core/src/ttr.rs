@@ -2,7 +2,6 @@
 
 use failstats::{Ecdf, Summary};
 use failtypes::{Category, Domain, FailureLog};
-use serde::{Deserialize, Serialize};
 
 use crate::StreamView;
 
@@ -19,7 +18,7 @@ use crate::StreamView;
 /// // Fig. 9: MTTR ≈ 55 h.
 /// assert!((ttr.mttr_hours() - 55.0).abs() < 12.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TtrAnalysis {
     ecdf: Ecdf,
 }
@@ -72,7 +71,7 @@ impl TtrAnalysis {
 }
 
 /// One row of the per-category TTR table (Fig. 10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryTtr {
     /// The failure category.
     pub category: Category,

@@ -956,4 +956,23 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn nesting_at_the_bound_compiles_and_evaluates() {
+        // Type checking and evaluation recurse once per level too, so
+        // the deepest accepted tree of each shape must run through both.
+        let log = t3log();
+        let max = parser::MAX_DEPTH;
+        let cmp = "ttr > 24";
+        // A comparison is a level of its own, so at most 127 `!` fit;
+        // an odd run negates and an even run cancels out.
+        let nots = "!".repeat(max - 1);
+        assert!(compile(&format!("!{nots}{cmp}")).is_err());
+        assert_eq!(keep(&log, &format!("{nots}{cmp}")), keep(&log, "!ttr > 24"));
+        assert_eq!(keep(&log, &format!("{}{cmp}", &nots[1..])), keep(&log, cmp));
+        let parens = format!("{}{cmp}{}", "(".repeat(max), ")".repeat(max));
+        assert_eq!(keep(&log, &parens), keep(&log, cmp));
+        assert_eq!(keep(&log, &vec![cmp; max].join(" || ")), keep(&log, cmp));
+        assert_ne!(keep(&log, cmp), keep(&log, "!ttr > 24"));
+    }
 }

@@ -15,6 +15,11 @@
 //! The parser is syntax-only: field names and value types are checked
 //! by the compiler in `lib.rs`, which is where the span on every node
 //! pays off.
+//!
+//! Parsing, type checking, evaluation and drop all recurse once per
+//! tree level (and parsing once per open `(` or `!`), so both are
+//! bounded by [`MAX_DEPTH`]: a hostile expression gets an error instead
+//! of overflowing the stack of whichever thread compiles it.
 
 use crate::lexer::{Lexed, Span, Tok};
 
@@ -80,16 +85,22 @@ pub(crate) enum Ast {
     },
 }
 
+/// The deepest syntax tree, and the deepest `(`/`!` nesting, that
+/// [`parse`] accepts. A comparison is one level; a chain of `N`
+/// comparisons joined by `||` (or `&&`) is `N` levels deep.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 pub(crate) fn parse(tokens: &[Lexed], src_len: usize) -> Result<Ast, (String, Span)> {
     let mut p = Parser {
         tokens,
         pos: 0,
+        open: 0,
         end: Span::new(src_len, src_len),
     };
     if tokens.is_empty() {
         return Err(("empty filter expression".into(), Span::new(0, src_len.max(1))));
     }
-    let ast = p.or_expr()?;
+    let (ast, _depth) = p.or_expr()?;
     if let Some(extra) = p.peek() {
         return Err((
             format!("unexpected {} after the expression", extra.tok.describe()),
@@ -99,9 +110,14 @@ pub(crate) fn parse(tokens: &[Lexed], src_len: usize) -> Result<Ast, (String, Sp
     Ok(ast)
 }
 
+/// A parsed subtree and its depth (a comparison is one level deep).
+type Parsed = (Ast, usize);
+
 struct Parser<'a> {
     tokens: &'a [Lexed],
     pos: usize,
+    /// `(` and `!` entered and not yet left: the parser's recursion.
+    open: usize,
     /// Zero-width span at end of input, for "expected ..." errors there.
     end: Span,
 }
@@ -130,39 +146,71 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn or_expr(&mut self) -> Result<Ast, (String, Span)> {
-        let mut lhs = self.and_expr()?;
-        while matches!(self.peek(), Some(l) if l.tok == Tok::OrOr) {
+    /// The error for a tree or nesting deeper than [`MAX_DEPTH`],
+    /// pointing at the token that went one level too far.
+    fn too_deep(span: Span) -> (String, Span) {
+        (format!("expression nests deeper than {MAX_DEPTH} levels"), span)
+    }
+
+    /// The depth of a node over children `depth` deep.
+    fn parent_depth(depth: usize, span: Span) -> Result<usize, (String, Span)> {
+        if depth == MAX_DEPTH {
+            return Err(Self::too_deep(span));
+        }
+        Ok(depth + 1)
+    }
+
+    /// Enters one more `(` or `!`; the caller leaves it on success.
+    fn open(&mut self, span: Span) -> Result<(), (String, Span)> {
+        if self.open == MAX_DEPTH {
+            return Err(Self::too_deep(span));
+        }
+        self.open += 1;
+        Ok(())
+    }
+
+    fn or_expr(&mut self) -> Result<Parsed, (String, Span)> {
+        let (mut lhs, mut depth) = self.and_expr()?;
+        while let Some(op) = self.peek().filter(|l| l.tok == Tok::OrOr) {
             self.pos += 1;
-            let rhs = self.and_expr()?;
+            let (rhs, rhs_depth) = self.and_expr()?;
+            depth = Self::parent_depth(depth.max(rhs_depth), op.span)?;
             lhs = Ast::Or(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn and_expr(&mut self) -> Result<Ast, (String, Span)> {
-        let mut lhs = self.unary()?;
-        while matches!(self.peek(), Some(l) if l.tok == Tok::AndAnd) {
+    fn and_expr(&mut self) -> Result<Parsed, (String, Span)> {
+        let (mut lhs, mut depth) = self.unary()?;
+        while let Some(op) = self.peek().filter(|l| l.tok == Tok::AndAnd) {
             self.pos += 1;
-            let rhs = self.unary()?;
+            let (rhs, rhs_depth) = self.unary()?;
+            depth = Self::parent_depth(depth.max(rhs_depth), op.span)?;
             lhs = Ast::And(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn unary(&mut self) -> Result<Ast, (String, Span)> {
-        if matches!(self.peek(), Some(l) if l.tok == Tok::Bang) {
-            self.pos += 1;
-            return Ok(Ast::Not(Box::new(self.unary()?)));
+    fn unary(&mut self) -> Result<Parsed, (String, Span)> {
+        match self.peek() {
+            Some(bang) if bang.tok == Tok::Bang => {
+                self.pos += 1;
+                self.open(bang.span)?;
+                let (inner, depth) = self.unary()?;
+                self.open -= 1;
+                Ok((Ast::Not(Box::new(inner)), Self::parent_depth(depth, bang.span)?))
+            }
+            _ => self.atom(),
         }
-        self.atom()
     }
 
-    fn atom(&mut self) -> Result<Ast, (String, Span)> {
+    fn atom(&mut self) -> Result<Parsed, (String, Span)> {
         match self.peek() {
             Some(l) if l.tok == Tok::LParen => {
                 self.pos += 1;
+                self.open(l.span)?;
                 let inner = self.or_expr()?;
+                self.open -= 1;
                 self.expect(&Tok::RParen, "`)`")?;
                 Ok(inner)
             }
@@ -171,7 +219,7 @@ impl<'a> Parser<'a> {
                     let field = field.clone();
                     let field_span = l.span;
                     self.pos += 1;
-                    self.comparison(field, field_span)
+                    Ok((self.comparison(field, field_span)?, 1))
                 } else {
                     Err((
                         format!(
@@ -345,5 +393,25 @@ mod tests {
         assert!(parse_err("a in b").contains("`(` after `in`"));
         assert!(parse_err("a in (1,)").contains("expected a value"));
         assert!(parse_err("&& a == 1").contains("field name or `(`"));
+    }
+
+    #[test]
+    fn one_level_past_max_depth_is_rejected() {
+        // The deepest accepted expressions compile and evaluate in
+        // `lib.rs`'s `nesting_at_the_bound_compiles_and_evaluates`.
+        let (parens, close) = ("(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        for deep in [
+            vec!["a == 1"; MAX_DEPTH + 1].join(" || "),
+            vec!["a == 1"; MAX_DEPTH + 1].join(" && "),
+            format!("{}a == 1", "!".repeat(MAX_DEPTH)),
+            format!("({parens}a == 1){close}"),
+            // A `!` counts toward the open `(`/`!` limit too.
+            format!("!{parens}a == 1 && b == 2{close}"),
+        ] {
+            assert!(
+                parse_err(&deep).contains(&format!("nests deeper than {MAX_DEPTH} levels")),
+                "{deep}"
+            );
+        }
     }
 }

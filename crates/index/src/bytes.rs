@@ -1,6 +1,6 @@
 //! Minimal little-endian byte encoding for the `.fsidx` format.
 //!
-//! The format is hand-rolled (no serde) so the on-disk layout is an
+//! The format is hand-rolled so the on-disk layout is an
 //! explicit, versioned contract: every field below is written in
 //! little-endian order exactly as documented in `DESIGN.md`.
 

@@ -44,9 +44,7 @@ mod stream;
 pub use csv::{from_str, read_log, to_string, write_log};
 pub use inflate::{crc32, gzip_compress, gzip_decompress, Crc32};
 pub use input::{read_input, Compression, InputReader, FSIDX_MAGIC};
-pub use ops::{
-    anonymize_nodes, load, load_traced, load_traced_with, load_with, save, summarize, LogSummary,
-};
+pub use ops::{anonymize_nodes, load, load_with, save, summarize, LogSummary};
 pub use parallel::{from_str_with, ParseOptions, DEFAULT_CHUNK_BYTES};
 pub use stream::{parse_body_rows, parse_ndjson_row, record_to_ndjson, LogTailer, TailProgress};
 

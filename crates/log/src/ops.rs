@@ -36,47 +36,26 @@ pub fn save(path: impl AsRef<Path>, log: &FailureLog) -> Result<()> {
 ///
 /// Returns [`Error`](failtypes::Error) on I/O failure or malformed content.
 pub fn load(path: impl AsRef<Path>) -> Result<FailureLog> {
-    load_with(path, &ParseOptions::default())
+    load_with(path, &ParseOptions::default(), None)
 }
 
-/// [`load`] with explicit parse options (worker threads, chunk size).
+/// [`load`] with explicit parse options (worker threads, chunk size)
+/// and optional tracing. With a collector it records a `log.parse`
+/// span plus `parse.records`, `parse.chunks`, and `parse.chunk_bytes`
+/// counters. Every counter depends only on the input and chunk size,
+/// so trace exports stay byte-identical across thread counts.
 ///
 /// # Errors
 ///
 /// Same as [`load`].
-pub fn load_with(path: impl AsRef<Path>, opts: &ParseOptions) -> Result<FailureLog> {
-    let (text, _compression) = crate::read_input(path)?;
-    crate::from_str_with(&text, opts)
-}
-
-/// [`load`] with optional tracing: records a `log.parse` span and a
-/// `parse.records` counter into `trace`.
-///
-/// # Errors
-///
-/// Same as [`load`].
-pub fn load_traced(
+pub fn load_with(
     path: impl AsRef<Path>,
-    trace: Option<&failtrace::Collector>,
-) -> Result<FailureLog> {
-    load_traced_with(path, trace, &ParseOptions::default())
-}
-
-/// [`load_with`] with optional tracing: records a `log.parse` span plus
-/// `parse.records`, `parse.chunks`, and `parse.chunk_bytes` counters
-/// into `trace`. Every counter depends only on the input and chunk
-/// size, so trace exports stay byte-identical across thread counts.
-///
-/// # Errors
-///
-/// Same as [`load`].
-pub fn load_traced_with(
-    path: impl AsRef<Path>,
-    trace: Option<&failtrace::Collector>,
     opts: &ParseOptions,
+    trace: Option<&failtrace::Collector>,
 ) -> Result<FailureLog> {
     let Some(trace) = trace else {
-        return load_with(path, opts);
+        let (text, _compression) = crate::read_input(path)?;
+        return crate::from_str_with(&text, opts);
     };
     let mut span = trace.span("log.parse");
     let (text, _compression) = crate::read_input(path)?;

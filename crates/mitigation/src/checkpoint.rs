@@ -8,7 +8,6 @@
 
 use failscope::StreamView;
 use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
 
 /// Error for invalid checkpoint-model parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +35,7 @@ impl std::error::Error for InvalidCheckpointParams {}
 /// assert!(plan.efficiency(plan.daly_interval_hours()) > 0.75);
 /// # Ok::<(), failmitigate::InvalidCheckpointParams>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointPlan {
     mtbf_hours: f64,
     checkpoint_cost_hours: f64,

@@ -12,10 +12,9 @@
 
 use failscope::StreamView;
 use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
 
 /// Node-level GPU failure rates relevant to co-location decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeFailureModel {
     /// Single-GPU failures per node-hour.
     pub single_gpu_rate: f64,
@@ -77,7 +76,7 @@ impl NodeFailureModel {
 }
 
 /// How two 2-GPU jobs are placed on 4-GPU nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// Both jobs share one node (better utilization, correlated risk).
     Pack,
@@ -86,7 +85,7 @@ pub enum Placement {
 }
 
 /// Risk profile of a placement of two 2-GPU jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColocationOutcome {
     /// The placement evaluated.
     pub placement: Placement,

@@ -10,7 +10,6 @@
 
 use failscope::StreamView;
 use failtypes::{ComponentClass, FailureLog};
-use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::CheckpointPlan;
 use crate::colocation::NodeFailureModel;
@@ -19,7 +18,7 @@ use crate::spares::SparePolicy;
 use crate::staffing::required_crews_index;
 
 /// Tunables of an [`OperationsPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanConfig {
     /// Per-checkpoint cost in hours.
     pub checkpoint_cost_hours: f64,
@@ -49,7 +48,7 @@ impl Default for PlanConfig {
 }
 
 /// One component class's spare recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpareLine {
     /// The component class.
     pub class: ComponentClass,
@@ -60,7 +59,7 @@ pub struct SpareLine {
 }
 
 /// The integrated plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperationsPlan {
     /// Checkpoint plan from the measured system MTBF.
     pub checkpoint: CheckpointPlan,

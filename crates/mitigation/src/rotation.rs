@@ -9,12 +9,11 @@
 //! rotation.
 
 use failtypes::GpuSlot;
-use serde::{Deserialize, Serialize};
 
 use crate::scheduler::SlotRiskModel;
 
 /// Per-card accumulated failure exposure over a planning horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RotationOutcome {
     /// Expected failures accumulated by each card (indexed by its
     /// starting slot).

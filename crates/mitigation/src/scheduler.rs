@@ -8,10 +8,9 @@
 
 use failscope::{SlotDistribution, StreamView};
 use failtypes::{FailureLog, GpuSlot};
-use serde::{Deserialize, Serialize};
 
 /// Per-slot failure rates of one node architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotRiskModel {
     /// Failures per hour for each slot of a node.
     rates_per_hour: Vec<f64>,
@@ -80,7 +79,7 @@ impl SlotRiskModel {
 }
 
 /// A slot-allocation policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocationPolicy {
     /// Fill slots in index order (what naive tooling does).
     FirstFit,
@@ -132,7 +131,7 @@ pub fn allocate(
 }
 
 /// The outcome of evaluating a policy on a stream of single-node jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyOutcome {
     /// The policy evaluated.
     pub policy: AllocationPolicy,

@@ -12,10 +12,9 @@ use failstats::{sample_poisson, ContinuousDist, Exponential};
 use failtypes::{ComponentClass, FailureLog};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A spare-provisioning policy for one component class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparePolicy {
     /// Mean failures (spare demands) per hour.
     pub demand_rate_per_hour: f64,
@@ -103,7 +102,7 @@ impl SparePolicy {
 }
 
 /// The outcome of a stochastic inventory simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InventoryOutcome {
     /// Demands that found a spare on hand.
     pub served_immediately: u64,

@@ -11,10 +11,9 @@
 
 use failscope::StreamView;
 use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of replaying a log through a `k`-crew repair queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaffingOutcome {
     /// Crews simulated.
     pub crews: u32,

@@ -6,8 +6,7 @@
 //! queries from many concurrent clients over a Unix or TCP socket, one
 //! NDJSON request per line ([`failapi::wire`]).
 //!
-//! * [`server`] — endpoints, transports, and [`serve`] /
-//!   [`serve_with_engine`].
+//! * [`server`] — endpoints, transports, and [`serve`].
 //! * [`reactor`](crate) (private) — the single-threaded non-blocking
 //!   event loop that owns every socket, plus the bounded worker pool
 //!   (`max_inflight` threads) that executes queries. Idle connections
@@ -32,4 +31,4 @@ mod reactor;
 pub mod server;
 mod sys;
 
-pub use server::{ready_line, serve, serve_with_engine, Endpoint, ServeSummary, ServerConfig};
+pub use server::{ready_line, serve, Endpoint, ServeSummary, ServerConfig};

@@ -811,7 +811,7 @@ mod tests {
     use std::time::Duration;
 
     use failapi::wire;
-    use failapi::WatchRequest;
+    use failapi::{QueryEngine, WatchRequest};
 
     use super::JobCmd;
     use crate::client::Connection;
@@ -872,6 +872,7 @@ mod tests {
                     endpoint: Endpoint::tcp("127.0.0.1:0"),
                     max_inflight: 1,
                 },
+                QueryEngine::new(),
                 move |bound| tx.send(bound.clone()).expect("report bound endpoint"),
             )
         });
@@ -948,6 +949,7 @@ mod tests {
                         endpoint: Endpoint::tcp("127.0.0.1:0"),
                         max_inflight: 1,
                     },
+                    QueryEngine::new(),
                     move |bound| tx.send(bound.clone()).expect("report bound endpoint"),
                 )
             }
@@ -989,6 +991,53 @@ mod tests {
         assert!(metrics.output.contains(&counter), "{}", metrics.output);
         client
             .roundtrip(&wire::encode_simple(3, "shutdown"))
+            .expect("shuts down");
+        drop((stream, reader));
+        server.join().expect("server thread").expect("serves");
+    }
+
+    #[test]
+    fn deeply_nested_request_gets_an_error_and_the_reactor_keeps_serving() {
+        let (tx, rx) = mpsc::channel();
+        let server = thread::spawn(move || {
+            crate::serve(
+                ServerConfig {
+                    endpoint: Endpoint::tcp("127.0.0.1:0"),
+                    max_inflight: 1,
+                },
+                QueryEngine::new(),
+                move |bound| tx.send(bound.clone()).expect("report bound endpoint"),
+            )
+        });
+        let endpoint = rx.recv().expect("server binds");
+        let Endpoint::Tcp(addr) = &endpoint else {
+            panic!("expected a tcp endpoint, got {endpoint}");
+        };
+
+        // A megabyte of `[`: well under MAX_LINE, parsed on the reactor
+        // thread, and far deeper than any stack could recurse.
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("sets a deadline");
+        let hostile = format!("{}\n", "[".repeat(1_000_000));
+        stream.write_all(hostile.as_bytes()).expect("sends");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reads");
+        let err = wire::parse_response(line.trim_end()).expect_err("an error envelope");
+        assert!(
+            err.to_string().contains("nesting deeper than 128 levels"),
+            "{err}"
+        );
+
+        let mut other = Connection::connect(&endpoint).expect("connects");
+        let pong = other
+            .roundtrip(&wire::encode_simple(1, "ping"))
+            .expect("still answered");
+        assert_eq!(pong.output, "pong\n");
+        other
+            .roundtrip(&wire::encode_simple(2, "shutdown"))
             .expect("shuts down");
         drop((stream, reader));
         server.join().expect("server thread").expect("serves");

@@ -237,28 +237,21 @@ impl AsRawFd for Listener {
     }
 }
 
-/// Runs `faild` to completion with a fresh [`QueryEngine`]: binds the
-/// endpoint, calls `ready` with the resolved address (print this to
-/// stdout so clients can wait for it), then serves until a client
-/// sends `shutdown`. In-flight requests finish, dirty `.fsidx`
-/// snapshots are persisted, and the summary is returned.
+/// Runs `faild` to completion on `engine`: binds the endpoint, calls
+/// `ready` with the resolved address (print this to stdout so clients
+/// can wait for it), then serves until a client sends `shutdown`.
+/// In-flight requests finish, dirty `.fsidx` snapshots are persisted,
+/// and the summary is returned.
+///
+/// Build the engine with [`QueryEngine::new`], or with
+/// [`QueryEngine::with_cache_bytes`] to set the render-cache byte
+/// budget (the `--cache-bytes` flag).
 ///
 /// # Errors
 ///
 /// Fails only on bind/setup problems; per-connection I/O errors drop
 /// that connection and per-request errors become typed error envelopes.
-pub fn serve(config: ServerConfig, ready: impl FnOnce(&Endpoint)) -> Result<ServeSummary> {
-    serve_with_engine(config, QueryEngine::new(), ready)
-}
-
-/// [`serve`] with a caller-built engine — the hook for configuring
-/// the render-cache byte budget (`QueryEngine::with_cache_bytes`,
-/// the `--cache-bytes` flag) or pre-warming caches before binding.
-///
-/// # Errors
-///
-/// As [`serve`].
-pub fn serve_with_engine(
+pub fn serve(
     config: ServerConfig,
     engine: QueryEngine,
     ready: impl FnOnce(&Endpoint),

@@ -3,10 +3,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A two-sided percentile-bootstrap confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate (the statistic on the original sample).
     pub estimate: f64,

@@ -1,7 +1,6 @@
 //! Descriptive statistics: means, variances, quantiles, and five-number
 //! summaries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Arithmetic mean; `None` for an empty slice.
@@ -110,7 +109,7 @@ pub fn median(data: &[f64]) -> Option<f64> {
 /// assert_eq!(s.max(), 100.0);
 /// assert!(s.iqr() > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     n: usize,
     mean: f64,

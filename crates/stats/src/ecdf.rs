@@ -4,7 +4,6 @@
 //! failures and time to recovery; [`Ecdf`] is the structure that backs
 //! them.
 
-use serde::{Deserialize, Serialize};
 
 use crate::desc::quantile_sorted;
 
@@ -22,7 +21,7 @@ use crate::desc::quantile_sorted;
 /// assert_eq!(e.quantile(0.5), 2.0);
 /// assert_eq!(e.quantile(0.75), 4.0); // type-7 interpolation toward the tail
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

@@ -5,7 +5,6 @@
 //! family best explains the generated inter-arrival data, mirroring how a
 //! field study would characterize its measured TBF/TTR samples.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::dist::{ContinuousDist, Exponential, Gamma, LogNormal, Weibull};
@@ -197,7 +196,7 @@ pub fn fit_gamma(data: &[f64]) -> Result<Gamma, FitError> {
 }
 
 /// A distribution family for model selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Exponential (1 parameter).
     Exponential,

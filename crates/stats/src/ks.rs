@@ -1,13 +1,12 @@
 //! Kolmogorov–Smirnov goodness-of-fit tests.
 
-use serde::{Deserialize, Serialize};
 
 use crate::dist::ContinuousDist;
 use crate::ecdf::Ecdf;
 use crate::special::kolmogorov_q;
 
 /// The result of a KS test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KsTest {
     /// The KS statistic `D = sup |F_n(x) - F(x)|`.
     pub statistic: f64,

@@ -5,13 +5,12 @@
 //! time-to-first-failure), tests whether their survival distributions
 //! differ.
 
-use serde::{Deserialize, Serialize};
 
 use crate::special::gamma_q;
 use crate::survival::Lifetime;
 
 /// The result of a two-group log-rank test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogRankTest {
     /// The chi-square statistic (1 degree of freedom).
     pub statistic: f64,

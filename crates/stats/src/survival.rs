@@ -5,12 +5,11 @@
 //! over possibly right-censored lifetimes; `failscope` uses this module
 //! for node/GPU lifetime analyses.
 
-use serde::{Deserialize, Serialize};
 
 /// One observed lifetime: the duration and whether the event (failure)
 /// was observed or the observation was censored (still alive at the end
 /// of the window).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lifetime {
     /// Observed duration.
     pub duration: f64,
@@ -37,7 +36,7 @@ impl Lifetime {
 }
 
 /// A step of the Kaplan–Meier survival curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurvivalStep {
     /// Event time.
     pub time: f64,
@@ -65,7 +64,7 @@ pub struct SurvivalStep {
 /// assert!((km.survival_at(3.0) - 0.75).abs() < 1e-12);
 /// assert!(km.survival_at(9.0) < 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KaplanMeier {
     steps: Vec<SurvivalStep>,
     n: usize,
@@ -173,7 +172,7 @@ impl KaplanMeier {
 }
 
 /// A step of the Nelson–Aalen cumulative-hazard curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HazardStep {
     /// Event time.
     pub time: f64,
@@ -202,7 +201,7 @@ pub struct HazardStep {
 /// assert!((na.cumulative_hazard_at(3.0) - 1.0 / 3.0).abs() < 1e-12);
 /// assert!((na.cumulative_hazard_at(4.5) - (1.0 / 3.0 + 0.5)).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NelsonAalen {
     steps: Vec<HazardStep>,
     n: usize,

@@ -6,7 +6,6 @@
 //! [`ComponentClass`] and [`Domain`] so that cross-system analyses (for
 //! example the GPU/CPU MTBF comparison of RQ4) can operate uniformly.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -19,7 +18,7 @@ use crate::error::ParseCategoryError;
 /// assert_eq!(T3Category::GpuDriver.domain(), Domain::Software);
 /// assert_eq!(T3Category::Gpu.domain(), Domain::Hardware);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Domain {
     /// Failures whose root locus is a physical component.
     Hardware,
@@ -44,7 +43,7 @@ impl fmt::Display for Domain {
 /// Each per-system category maps onto exactly one class; analyses that
 /// compare the two generations (GPU MTBF, CPU MTBF, ...) group by this
 /// instead of by the raw category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ComponentClass {
     /// GPU accelerators (the paper's central component).
     Gpu,
@@ -121,9 +120,7 @@ macro_rules! categories {
         }
     ) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub enum $name {
             $( $(#[$vmeta])* $variant, )+
         }
@@ -287,7 +284,7 @@ categories! {
 /// assert_eq!(a.component_class(), ComponentClass::Gpu);
 /// assert_ne!(a, b); // same class, different systems
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Category {
     /// A Tsubame-2 category.
     T2(T2Category),

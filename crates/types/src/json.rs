@@ -77,11 +77,13 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns a message naming the byte offset of the first syntax
-    /// error.
+    /// error, or of the first array or object nested more than
+    /// [`JsonValue::MAX_DEPTH`] deep.
     pub fn parse(s: &str) -> Result<JsonValue, JsonParseError> {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -91,6 +93,11 @@ impl JsonValue {
         }
         Ok(value)
     }
+
+    /// The deepest array/object nesting [`JsonValue::parse`] accepts.
+    /// The parser recurses once per level, so the bound keeps a hostile
+    /// line (say a megabyte of `[`) from overflowing the stack.
+    pub const MAX_DEPTH: usize = 128;
 
     /// Object field lookup (first match); `None` on non-objects.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
@@ -333,6 +340,7 @@ impl std::error::Error for JsonParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -378,11 +386,29 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected character `{}`", other as char))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`JsonValue::MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonParseError>,
+    ) -> Result<JsonValue, JsonParseError> {
+        if self.depth == JsonValue::MAX_DEPTH {
+            return Err(self.err(format!(
+                "nesting deeper than {} levels",
+                JsonValue::MAX_DEPTH
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonParseError> {
@@ -726,5 +752,24 @@ mod tests {
             );
             assert!(err.offset() <= doc.len());
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = "[".repeat(1_000_000);
+        let err = JsonValue::parse(&deep).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        assert_eq!(err.offset(), JsonValue::MAX_DEPTH);
+
+        let objects = r#"{"a":"#.repeat(1_000_000);
+        let err = JsonValue::parse(&objects).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+
+        // Exactly at the bound still parses, and round-trips.
+        let max = JsonValue::MAX_DEPTH;
+        let at = format!("{}{}", "[".repeat(max), "]".repeat(max));
+        assert_eq!(JsonValue::parse(&at).expect("at the bound").render(), at);
+        let over = format!("[{at}]");
+        assert!(JsonValue::parse(&over).is_err());
     }
 }

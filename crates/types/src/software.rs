@@ -5,7 +5,6 @@
 //! related and about 20% have no known cause. This module models that
 //! taxonomy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -23,7 +22,7 @@ use crate::error::ParseCategoryError;
 /// assert!(!SoftwareLocus::KernelPanic.is_gpu_driver_related());
 /// assert_eq!(SoftwareLocus::ALL.len(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SoftwareLocus {
     /// GPU driver update/upgrade problems and software/driver mismatches.
     GpuDriverProblem,

@@ -8,7 +8,6 @@
 //! Alerts serialize to one-line JSON ([`Alert::to_ndjson`]) so an
 //! operator can pipe `failctl watch` into any NDJSON consumer.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::json::{push_json_escaped, push_json_number};
@@ -26,7 +25,7 @@ pub enum StreamEvent {
 }
 
 /// What kind of drift or anomaly an alert reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AlertKind {
     /// The live category mix diverged from the baseline mix (total
     /// variation distance above threshold).
@@ -61,7 +60,7 @@ impl fmt::Display for AlertKind {
 }
 
 /// How urgent an alert is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AlertSeverity {
     /// Informational: worth a look, no action required.
     Info,
@@ -109,7 +108,7 @@ impl fmt::Display for AlertSeverity {
 /// assert!(line.starts_with("{\"kind\":\"mttr_regression\""));
 /// assert!(!line.contains('\n'));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Alert {
     /// What drifted.
     pub kind: AlertKind,

@@ -27,6 +27,26 @@
 //! * **The loop** ([`run`]): ties the three together behind
 //!   `failctl watch`, rendering periodic summaries in order on the loop
 //!   thread.
+//!
+//! Errors across the crate are the unified [`failtypes::Error`], so a
+//! whole source → state → detector → loop pipeline propagates with `?`.
+//!
+//! # Examples
+//!
+//! ```
+//! use failwatch::{run, SimSource, WatchConfig};
+//!
+//! let mut source = SimSource::new(
+//!     failsim::SystemModel::tsubame3(),
+//!     7,
+//!     failsim::ReplayClock::unpaced(),
+//! )?;
+//! let config = WatchConfig::builder().max_records(30).build()?;
+//! let mut out = Vec::new();
+//! let outcome = run(&mut source, None, &config, &mut out)?;
+//! assert_eq!(outcome.records, 30);
+//! # Ok::<(), failtypes::Error>(())
+//! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -48,38 +68,3 @@ pub use watch::{
     render_summary, render_summary_sections, run, select_watch_sections, watch_section_by_id,
     WatchConfig, WatchConfigBuilder, WatchOutcome, WatchSection, WATCH_SECTIONS,
 };
-
-/// One-stop imports for driving the watch loop.
-///
-/// Errors across the crate are the unified [`failtypes::Error`]
-/// (re-exported here with its `Result` alias), so a whole
-/// source → state → detector → loop pipeline propagates with `?`.
-///
-/// # Examples
-///
-/// ```
-/// use failwatch::prelude::*;
-///
-/// let mut source = SimSource::new(
-///     failsim::SystemModel::tsubame3(),
-///     7,
-///     failsim::ReplayClock::unpaced(),
-/// )?;
-/// let config = WatchConfig::builder().max_records(30).build()?;
-/// let mut out = Vec::new();
-/// let outcome = run(&mut source, None, &config, &mut out)?;
-/// assert_eq!(outcome.records, 30);
-/// # Ok::<(), failwatch::prelude::Error>(())
-/// ```
-pub mod prelude {
-    pub use crate::drift::{Baseline, DriftConfig, DriftConfigBuilder, DriftDetector};
-    pub use crate::ingest::{ChunkEnd, EventSource, SimSource, TailSource};
-    pub use crate::sketch::{QuantileSketch, DEFAULT_SKETCH_CAPACITY};
-    pub use crate::state::{StateConfig, StateConfigBuilder, WatchState};
-    pub use crate::watch::{
-        render_summary, render_summary_sections, run, select_watch_sections,
-        watch_section_by_id, WatchConfig, WatchConfigBuilder, WatchOutcome, WatchSection,
-        WATCH_SECTIONS,
-    };
-    pub use failtypes::{Error, Result};
-}

@@ -14,9 +14,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate()?;
     let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate()?;
 
-    println!("{}", failscope::render_report(&t2));
-    println!("{}", failscope::render_report(&t3));
-    println!("{}", failscope::render_comparison(&t2, &t3));
+    println!("{}", failscope::render_report(&t2, 1));
+    println!("{}", failscope::render_report(&t3, 1));
+    let (v2, v3) = (failscope::StreamView::new(&t2), failscope::StreamView::new(&t3));
+    println!("{}", failscope::render_comparison(&v2, &v3, 1));
 
     // What the analyses imply operationally, per system.
     for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {

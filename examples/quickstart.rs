@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nMTBF {:.1} h (p75 {:.1} h)", tbf.mtbf_hours(), tbf.p75_hours());
     println!("MTTR {:.1} h (median {:.1} h)", ttr.mttr_hours(), ttr.median_hours());
 
-    // 5. Serialize the log for later analysis.
+    // 5. Write the log out for later analysis.
     let text = faillog::to_string(&log)?;
     println!("\nSerialized log: {} bytes of failscope-log v1", text.len());
     Ok(())

@@ -9,19 +9,23 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Benchmark build gate: the frozen harness under perfbench/ builds
-# against the workspace's public API, so an API change that breaks it
-# fails here instead of in a benchmark run. Cargo rewrites
-# perfbench/Cargo.lock when the workspace's dependency set changes;
-# restore it, so verification never edits the benchmark's files.
+# Benchmark gate: the frozen harness under perfbench/ builds against
+# the workspace's public API and its own tests pass, so an API change
+# that breaks it fails here instead of in a benchmark run. Cargo
+# rewrites perfbench/Cargo.lock when the workspace's dependency set
+# changes; restore it, so verification never edits the benchmark's
+# files.
 perfbench_lock=$(mktemp)
 cp perfbench/Cargo.lock "$perfbench_lock"
 perfbench_status=0
 cargo build --release --offline --manifest-path perfbench/Cargo.toml || perfbench_status=$?
+if [ "$perfbench_status" -eq 0 ]; then
+    cargo test --offline --manifest-path perfbench/Cargo.toml || perfbench_status=$?
+fi
 cp "$perfbench_lock" perfbench/Cargo.lock
 rm -f "$perfbench_lock"
 if [ "$perfbench_status" -ne 0 ]; then
-    echo "verify: the perfbench harness no longer builds against the workspace" >&2
+    echo "verify: the perfbench harness no longer builds or passes its tests against the workspace" >&2
     exit 1
 fi
 
@@ -382,4 +386,4 @@ fi
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "verify: build + tests + clippy + perfbench build + streaming gate + parse gate + filter gate + index gate + server gate + gzip smoke + json gate + trace gate + docs all green"
+echo "verify: build + tests + clippy + perfbench build and tests + streaming gate + parse gate + filter gate + index gate + server gate + gzip smoke + json gate + trace gate + docs all green"

@@ -19,7 +19,7 @@ fn generate_serialize_parse_analyze_roundtrip() {
     for (gen, seed) in [(Generation::Tsubame2, 42), (Generation::Tsubame3, 43)] {
         let log = generate(gen, seed);
 
-        // Serialize to text and back.
+        // Write to text and parse it back.
         let text = faillog::to_string(&log).expect("serializes");
         let parsed = faillog::from_str(&text).expect("parses");
         assert_eq!(parsed, log, "round trip must be lossless");
@@ -89,7 +89,7 @@ fn what_if_scenario_flows_through_the_whole_stack() {
         .expect("valid scenario");
     let log = Simulator::new(model, 99).generate().expect("generates");
 
-    // Serialize/parse with a custom spec.
+    // Write and parse with a custom spec.
     let text = faillog::to_string(&log).expect("serializes");
     let parsed = faillog::from_str(&text).expect("parses");
     assert_eq!(parsed.spec().gpus_per_node(), 6);

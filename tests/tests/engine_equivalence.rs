@@ -17,7 +17,7 @@ use failbench::runner;
 use failscope::{
     class_mtbf_hours, class_mtbf_hours_index, gpu_involvement_mtbf_hours,
     gpu_involvement_mtbf_hours_index, per_category_tbf, per_category_tbf_index, per_category_ttr,
-    per_category_ttr_index, render_report, render_report_threaded, AvailabilityAnalysis,
+    per_category_ttr_index, render_report, AvailabilityAnalysis,
     CategoryBreakdown, ClassBreakdown, DomainBreakdown, LocusBreakdown, MultiGpuTemporal,
     NodeDistribution, RackDistribution, SeasonalAnalysis, SlotDistribution, StreamView,
     TbfAnalysis, TtrAnalysis,
@@ -84,11 +84,11 @@ fn logview_matches_on_degenerate_logs() {
 fn report_is_identical_at_every_thread_count() {
     let (t2, t3) = experiments::standard_logs();
     for log in [&*t2, &*t3] {
-        let serial = render_report(log);
+        let serial = render_report(log, 1);
         for threads in 1..=8 {
             assert_eq!(
                 serial,
-                render_report_threaded(log, threads),
+                render_report(log, threads),
                 "report diverged at {threads} threads"
             );
         }
@@ -152,6 +152,6 @@ proptest! {
         threads in 1usize..6,
     ) {
         let log = Simulator::new(SystemModel::tsubame3(), seed).generate().unwrap();
-        prop_assert_eq!(render_report(&log), render_report_threaded(&log, threads));
+        prop_assert_eq!(render_report(&log, 1), render_report(&log, threads));
     }
 }

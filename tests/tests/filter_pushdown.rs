@@ -171,7 +171,7 @@ fn warm_filtered_reports_match_cold_filtered_byte_for_byte() {
             for threads in 1usize..=4 {
                 let opts = ParseOptions::new().threads(threads).filter(pred.clone());
                 let cold =
-                    faillog::load_with(&path, &opts).expect("filtered cold parse succeeds");
+                    faillog::load_with(&path, &opts, None).expect("filtered cold parse succeeds");
                 assert_eq!(
                     render(&warm, threads),
                     render(&StreamView::from_log(cold, None), threads),

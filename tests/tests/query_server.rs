@@ -42,6 +42,7 @@ fn start_server(
                 endpoint,
                 max_inflight,
             },
+            QueryEngine::new(),
             move |bound| {
                 tx.send(bound.clone()).expect("report bound endpoint");
             },

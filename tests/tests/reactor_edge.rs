@@ -39,6 +39,7 @@ fn start_server(max_inflight: usize) -> (String, thread::JoinHandle<Result<Serve
                 endpoint: Endpoint::tcp("127.0.0.1:0"),
                 max_inflight,
             },
+            QueryEngine::new(),
             move |bound| {
                 tx.send(bound.clone()).expect("report bound endpoint");
             },

@@ -44,7 +44,7 @@ fn text_reports_match_golden_snapshots_at_every_thread_count() {
     for (log, golden) in [(t2(), GOLDEN_T2_TEXT), (t3(), GOLDEN_T3_TEXT)] {
         for threads in 1..=4 {
             assert_eq!(
-                failscope::render_report_threaded(&log, threads),
+                failscope::render_report(&log, threads),
                 golden,
                 "{} text report drifted from golden at threads={threads}",
                 log.spec().name()
