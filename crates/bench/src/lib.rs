@@ -1,4 +1,4 @@
-//! Benchmark harness and paper-figure regeneration for the `failscope`
+//! Paper-figure regeneration and design ablations for the `failscope`
 //! reproduction.
 //!
 //! * [`experiments`] regenerates every table and figure of the paper's
@@ -14,9 +14,12 @@
 //!   declaration-order collection, so parallel output is byte-identical
 //!   to serial.
 //! * The `repro` binary prints any (or all) of the experiments:
-//!   `cargo run -p failbench --bin repro -- all`; `repro bench` times
-//!   the regeneration pipelines themselves and the `bench_stream`
-//!   binary times streaming ingest.
+//!   `cargo run -p failbench --bin repro -- all`.
+//!
+//! Timing lives elsewhere: `perfbench/` measures every analysis layer
+//! and what users run, and the release-mode integration test
+//! `tests/tests/throughput_floors.rs` trips when a hot path falls below
+//! its throughput floor.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

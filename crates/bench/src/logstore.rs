@@ -1,12 +1,13 @@
 //! Process-wide memoized store of simulated failure logs.
 //!
 //! Every consumer of a `(model, seed)` log — the paper-figure
-//! experiments, the seed-sweep averages, the `repro` binary — fetches it through [`LogStore::global`], so each
-//! distinct log is simulated **exactly once per process** and shared as
-//! an [`Arc<FailureLog>`] with no cloning of record vectors.
+//! experiments, the seed-sweep averages, the `repro` binary — fetches
+//! it through [`LogStore::global`], so each distinct log is simulated
+//! **exactly once per process** and shared as an [`Arc<FailureLog>`]
+//! with no cloning of record vectors.
 //!
-//! The store counts simulations and cache hits so tests (and the
-//! `repro bench` mode) can assert the exactly-once invariant:
+//! The store counts simulations and cache hits so tests can assert the
+//! exactly-once invariant:
 //! [`LogStore::simulations`] must equal [`LogStore::entries`] no matter
 //! how many experiments ran or how many threads raced on the same key.
 //!
@@ -106,14 +107,6 @@ impl LogStore {
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
-
-    /// Drops every cached log and resets the counters (used by the
-    /// benchmark harness to time cold runs).
-    pub fn clear(&self) {
-        locked(&self.cells).clear();
-        self.simulations.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-    }
 }
 
 impl Default for LogStore {
@@ -171,17 +164,5 @@ mod tests {
         }
         assert_eq!(store.simulations(), 1);
         assert_eq!(store.entries(), 1);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let store = LogStore::new();
-        let first = store.get(&SystemModel::tsubame3(), 43);
-        store.clear();
-        assert_eq!(store.entries(), 0);
-        assert_eq!(store.simulations(), 0);
-        let second = store.get(&SystemModel::tsubame3(), 43);
-        assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!(*first, *second, "re-simulation is deterministic");
     }
 }

@@ -667,19 +667,49 @@ fn num_cmp(lhs: f64, op: CmpOp, rhs: f64) -> bool {
 // Error rendering
 // ---------------------------------------------------------------------------
 
-/// Formats a span-annotated error: the message, the source line, and a
-/// caret run under the offending span (column math in characters, so
-/// multi-byte input stays aligned).
+/// Characters of `--where` source an error echoes at most. A longer
+/// source is cut to a window around the span, with `…` marking each cut
+/// end, so an error stays small whatever the expression's length (a
+/// `faild` request line may carry megabytes of it).
+const ERROR_WINDOW: usize = 96;
+
+/// Formats a span-annotated error: the message, the source line (or a
+/// window of it), and a caret run under the offending span (column math
+/// in characters, so multi-byte input stays aligned).
 fn annotate(src: &str, span: Span, msg: &str) -> Error {
     let start = span.start.min(src.len());
     let end = span.end.min(src.len()).max(start);
     let col = src[..start].chars().count();
     let width = src[start..end].chars().count().max(1);
+    let total = col + src[start..].chars().count();
+    // A third of the window before the span, the rest from it on; near
+    // either end the window slides to stay full, so a source no longer
+    // than the window is echoed whole.
+    let to = (col.saturating_sub(ERROR_WINDOW / 3) + ERROR_WINDOW).min(total);
+    let from = to.saturating_sub(ERROR_WINDOW);
+    let byte = |c: usize| src.char_indices().nth(c).map_or(src.len(), |(b, _)| b);
+    let lead = if from > 0 { "…" } else { "" };
+    let trail = if to < total { "…" } else { "" };
+    // Only a message quoting a token of a cut source can be huge.
+    let msg = if total > ERROR_WINDOW { elide(msg) } else { msg.into() };
     Error::args(format!(
-        "{msg}\n  {src}\n  {}{}",
-        " ".repeat(col),
-        "^".repeat(width)
+        "{msg}\n  {lead}{}{trail}\n  {}{}",
+        &src[byte(from)..byte(to)],
+        " ".repeat(col - from + lead.chars().count()),
+        "^".repeat(width.min(to.saturating_sub(col).max(1)))
     ))
+}
+
+/// Cuts the middle out of a message longer than two windows, which only
+/// happens when it quotes a huge token from the source.
+fn elide(msg: &str) -> std::borrow::Cow<'_, str> {
+    let len = msg.chars().count();
+    if len <= 2 * ERROR_WINDOW {
+        return msg.into();
+    }
+    let head: String = msg.chars().take(ERROR_WINDOW).collect();
+    let tail: String = msg.chars().skip(len - ERROR_WINDOW).collect();
+    format!("{head}…{tail}").into()
 }
 
 #[cfg(test)]
@@ -955,6 +985,53 @@ mod tests {
                 assert!(text.contains(src), "{src}: source not echoed in {text}");
             }
         }
+    }
+
+    /// The echoed source line and the caret line of an error.
+    fn source_and_caret(text: &str) -> (&str, &str) {
+        let mut lines = text.lines().skip(1);
+        let src = lines.next().expect("source line").strip_prefix("  ").unwrap();
+        let caret = lines.next().expect("caret line").strip_prefix("  ").unwrap();
+        (src, caret)
+    }
+
+    /// The source text the carets sit under.
+    fn underlined(text: &str) -> String {
+        let (src, caret) = source_and_caret(text);
+        let col = caret.chars().take_while(|&c| c == ' ').count();
+        let width = caret.chars().filter(|&c| c == '^').count();
+        src.chars().skip(col).take(width).collect()
+    }
+
+    #[test]
+    fn errors_in_huge_expressions_stay_small_and_underline_the_token() {
+        let terms = |n: usize| vec!["ttr > 1"; n].join(" && ");
+        let middle = format!("{} && ttr = 1 && {}", terms(50_000), terms(49_999));
+        let text = err_text(&middle);
+        assert!(text.len() < 1024, "{} bytes", text.len());
+        assert!(text.starts_with("single `=` is not an operator"), "{text}");
+        assert_eq!(underlined(&text), "=");
+        let (src, _) = source_and_caret(&text);
+        assert!(src.starts_with('…') && src.ends_with('…'), "{src}");
+
+        // At the end the window slides left; the caret still sits one
+        // past the last character.
+        let nodes: Vec<String> = (0..100_000).map(|n| n.to_string()).collect();
+        let text = err_text(&format!("node in ({}", nodes.join(", ")));
+        assert!(text.len() < 1024, "{} bytes", text.len());
+        assert!(text.starts_with("expected `,` or `)`, found end of expression"), "{text}");
+        let (src, caret) = source_and_caret(&text);
+        assert!(src.starts_with('…') && src.ends_with("99999"), "{src}");
+        assert_eq!(caret.chars().count(), src.chars().count() + 1);
+
+        // A huge token is cut in the message, and its carets stop at
+        // the window's edge.
+        let huge = format!("ttr > 1 && {} == 1", "x".repeat(1_000_000));
+        let text = err_text(&huge);
+        assert!(text.len() < 1024, "{} bytes", text.len());
+        assert!(text.starts_with("unknown field `xxx"), "{text}");
+        assert!(text.contains("(fields: category,"), "{text}");
+        assert!(underlined(&text).starts_with("xxx"), "{text}");
     }
 
     #[test]

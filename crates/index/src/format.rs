@@ -414,6 +414,9 @@ pub(crate) fn decode_body(data: &[u8]) -> Result<ViewParts, String> {
     let multi_gpu_times = f64_array(&mut r, "multi-gpu times", n_multi)?;
 
     let n_months = r.u32().map_err(|_| trunc("month count"))? as usize;
+    if n_months > r.remaining() / 4 {
+        return Err(trunc("month tallies"));
+    }
     let mut month_counts = Vec::with_capacity(n_months);
     for _ in 0..n_months {
         month_counts.push(r.u32().map_err(|_| trunc("month tally"))? as usize);
@@ -505,6 +508,25 @@ mod tests {
         flipped[12] ^= 0x01;
         let err = Header::decode(&flipped).unwrap_err();
         assert!(err.contains("checksum"), "{err}");
+    }
+
+    #[test]
+    fn a_huge_month_count_is_truncation_not_an_allocation() {
+        // The body CRC is recomputable, so a crafted count must be
+        // refused by the length guard before it sizes a buffer.
+        let log = failsim::Simulator::new(failsim::SystemModel::tsubame3(), 42)
+            .generate()
+            .expect("simulates");
+        let view = StreamView::new(&log);
+        let mut body = encode_body(&view);
+        assert!(decode_body(&body).is_ok());
+        let months = view.month_ttrs().len();
+        let count_at = body.len() - 4 * months - 4;
+        body[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decode_body(&body).err().as_deref(),
+            Some("truncated body (month tallies)")
+        );
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Percentile-bootstrap confidence intervals, with an optional
-//! scoped-thread parallel driver for large resample counts.
+//! Percentile-bootstrap confidence intervals.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,22 +26,6 @@ impl ConfidenceInterval {
     pub fn width(&self) -> f64 {
         self.upper - self.lower
     }
-}
-
-fn resample_stats<F>(data: &[f64], stat: &F, resamples: usize, seed: u64) -> Vec<f64>
-where
-    F: Fn(&[f64]) -> f64,
-{
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut buf = vec![0.0; data.len()];
-    (0..resamples)
-        .map(|_| {
-            for slot in buf.iter_mut() {
-                *slot = data[rng.gen_range(0..data.len())];
-            }
-            stat(&buf)
-        })
-        .collect()
 }
 
 /// Percentile-bootstrap CI of an arbitrary statistic.
@@ -74,61 +57,16 @@ where
     if data.is_empty() || !(level > 0.0 && level < 1.0) || resamples == 0 {
         return None;
     }
-    let mut stats = resample_stats(data, &stat, resamples, seed);
-    stats.sort_by(|a, b| a.partial_cmp(b).expect("bootstrap statistics must be comparable"));
-    let alpha = (1.0 - level) / 2.0;
-    Some(ConfidenceInterval {
-        estimate: stat(data),
-        lower: crate::desc::quantile_sorted(&stats, alpha)?,
-        upper: crate::desc::quantile_sorted(&stats, 1.0 - alpha)?,
-        level,
-    })
-}
-
-/// Parallel percentile-bootstrap CI: splits the resamples over `threads`
-/// scoped worker threads, each with an independent seed stream.
-///
-/// Produces the same kind of interval as [`bootstrap_ci`] (not bit-identical
-/// to the serial version, but deterministic for fixed `seed` and
-/// `threads`).
-///
-/// Returns `None` under the same conditions as [`bootstrap_ci`], or when
-/// `threads == 0`.
-pub fn bootstrap_ci_parallel<F>(
-    data: &[f64],
-    stat: F,
-    resamples: usize,
-    level: f64,
-    seed: u64,
-    threads: usize,
-) -> Option<ConfidenceInterval>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    if data.is_empty() || !(level > 0.0 && level < 1.0) || resamples == 0 || threads == 0 {
-        return None;
-    }
-    let per_thread = resamples.div_ceil(threads);
-    let chunks: Vec<Vec<f64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let stat = &stat;
-                let count = per_thread.min(resamples.saturating_sub(t * per_thread));
-                scope.spawn(move || {
-                    resample_stats(data, stat, count, seed.wrapping_add(t as u64 * 0x9E37_79B9))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bootstrap worker panicked"))
-            .collect()
-    });
-
-    let mut stats: Vec<f64> = chunks.into_iter().flatten().collect();
-    if stats.is_empty() {
-        return None;
-    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut buf = vec![0.0; data.len()];
+    let mut stats: Vec<f64> = (0..resamples)
+        .map(|_| {
+            for slot in buf.iter_mut() {
+                *slot = data[rng.gen_range(0..data.len())];
+            }
+            stat(&buf)
+        })
+        .collect();
     stats.sort_by(|a, b| a.partial_cmp(b).expect("bootstrap statistics must be comparable"));
     let alpha = (1.0 - level) / 2.0;
     Some(ConfidenceInterval {
@@ -173,8 +111,6 @@ mod tests {
         assert!(bootstrap_ci(&[1.0], mean_stat, 0, 0.95, 1).is_none());
         assert!(bootstrap_ci(&[1.0], mean_stat, 100, 0.0, 1).is_none());
         assert!(bootstrap_ci(&[1.0], mean_stat, 100, 1.0, 1).is_none());
-        assert!(bootstrap_ci_parallel(&[1.0], mean_stat, 100, 0.95, 1, 0).is_none());
-        assert!(bootstrap_ci_parallel(&[], mean_stat, 100, 0.95, 1, 2).is_none());
     }
 
     #[test]
@@ -183,26 +119,6 @@ mod tests {
         let narrow = bootstrap_ci(&data, mean_stat, 800, 0.5, 3).unwrap();
         let wide = bootstrap_ci(&data, mean_stat, 800, 0.99, 3).unwrap();
         assert!(wide.width() > narrow.width());
-    }
-
-    #[test]
-    fn parallel_matches_serial_shape() {
-        let data: Vec<f64> = (0..400).map(|i| (i % 37) as f64).collect();
-        let serial = bootstrap_ci(&data, mean_stat, 2000, 0.95, 5).unwrap();
-        let parallel = bootstrap_ci_parallel(&data, mean_stat, 2000, 0.95, 5, 4).unwrap();
-        assert!((serial.estimate - parallel.estimate).abs() < 1e-12);
-        // Intervals agree to bootstrap noise.
-        assert!((serial.lower - parallel.lower).abs() < 1.0);
-        assert!((serial.upper - parallel.upper).abs() < 1.0);
-        assert!(parallel.contains(parallel.estimate));
-    }
-
-    #[test]
-    fn parallel_is_deterministic() {
-        let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let a = bootstrap_ci_parallel(&data, mean_stat, 500, 0.95, 9, 3).unwrap();
-        let b = bootstrap_ci_parallel(&data, mean_stat, 500, 0.95, 9, 3).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

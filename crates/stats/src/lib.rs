@@ -55,7 +55,7 @@ mod rate;
 mod survival;
 pub mod special;
 
-pub use bootstrap::{bootstrap_ci, bootstrap_ci_parallel, ConfidenceInterval};
+pub use bootstrap::{bootstrap_ci, ConfidenceInterval};
 pub use categorical::Categorical;
 pub use corr::{pearson, spearman};
 pub use counting::{burstiness_report, inter_arrival_times, windowed_counts, BurstinessReport};
